@@ -63,8 +63,7 @@ class HistorySniffingAttack(TimingAttack):
                     for i in range(LINK_COUNT):
                         link = document.create_element("a")
                         link.attributes["href"] = TARGET_URL  # bulk, silent
-                        document.body.children.append(link)
-                        link.parent = document.body
+                        document.body.attach(link)
                     document.mark_dirty()
                 if index + 1 < FRAMES:
                     scope.requestAnimationFrame(frame)

@@ -9,7 +9,10 @@ experiments need:
   the van Goethem script-parsing and image-decoding attacks measure;
 * ``:visited`` link state consulted during style recalculation — the
   channel history sniffing measures;
-* dirty-tracking feeding the renderer's per-frame style/layout/paint cost;
+* dirty-tracking feeding the renderer's per-frame style/layout/paint cost,
+  with the render-facing state (connected count, ``<a>`` index, pending
+  paint set) kept current by the tree mutations themselves, so a frame
+  never walks the tree;
 * deterministic serialisation for the DOM-cosine-similarity compatibility
   test (paper §V-B2).
 """
@@ -17,7 +20,7 @@ experiments need:
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from ..errors import SimulationError
 from ..trace import state_access
@@ -53,8 +56,23 @@ class Element:
         self.matched_visited = False
         #: Arbitrary payload for simulated media/image elements.
         self.payload: Any = None
-        #: Pending paint effects (e.g. SVG filters), consumed per frame.
-        self.pending_paint_cost = 0
+        #: True when attached under the document root (see Document).
+        self.connected = False
+        self._pending_paint_cost = 0
+
+    @property
+    def pending_paint_cost(self) -> int:
+        """Pending paint effects (e.g. SVG filters), consumed per frame."""
+        return self._pending_paint_cost
+
+    @pending_paint_cost.setter
+    def pending_paint_cost(self, value: int) -> None:
+        self._pending_paint_cost = value
+        if self.connected and self.parent is not None:
+            if value:
+                self.document._paint[self] = None
+            else:
+                self.document._paint.pop(self, None)
 
     @property
     def trace_obj(self) -> str:
@@ -90,12 +108,9 @@ class Element:
 
     def append_child(self, child: "Element") -> "Element":
         """``el.appendChild(child)``."""
-        if child.parent is not None:
-            child.parent.children.remove(child)
         self.document.sim.consume(APPEND_CHILD_COST)
         self._trace_mutation("append_child")
-        child.parent = self
-        self.children.append(child)
+        self.attach(child)
         self.document.mark_dirty()
         if child.connected and "src" in child.attributes:
             self.document.begin_resource_load(child)
@@ -107,29 +122,45 @@ class Element:
             raise SimulationError("removeChild: not a child")
         self.document.sim.consume(APPEND_CHILD_COST)
         self._trace_mutation("remove_child")
-        self.children.remove(child)
-        child.parent = None
+        child._move_to(None)
         self.document.mark_dirty()
         return child
 
-    @property
-    def connected(self) -> bool:
-        """True when the element is attached under the document root."""
-        node: Optional[Element] = self
-        while node is not None:
-            if node is self.document.document_element:
-                return True
-            node = node.parent
-        return False
+    def attach(self, child: "Element") -> "Element":
+        """Re-parent ``child`` as this element's last child, silently.
+
+        The tree and the document's bookkeeping change exactly as in
+        :meth:`append_child`, but no cost is consumed, no mutation is
+        traced, the document is not marked dirty and no load starts: a
+        bulk insertion whose invalidation the caller does once.
+        """
+        child._move_to(self)
+        return child
+
+    def _move_to(self, parent: Optional["Element"]) -> None:
+        """Unlink from the current parent and link under ``parent`` (None
+        detaches); the one place the tree and the bookkeeping change."""
+        if self.parent is not None:
+            self.parent.children.remove(self)
+        self.parent = parent
+        connected = False
+        if parent is not None:
+            parent.children.append(self)
+            connected = parent.connected
+        if connected != self.connected:
+            self.document._set_connected(self, connected)
 
     # ------------------------------------------------------------------
     # traversal / serialisation
     # ------------------------------------------------------------------
     def descendants(self):
-        """Depth-first iterator over the subtree (excluding self)."""
-        for child in self.children:
-            yield child
-            yield from child.descendants()
+        """Depth-first pre-order iterator over the subtree (excluding self)."""
+        stack = self.children[::-1]
+        while stack:
+            node = stack.pop()
+            yield node
+            if node.children:
+                stack.extend(node.children[::-1])
 
     def serialize(self) -> str:
         """Deterministic HTML-ish serialisation (compat similarity test)."""
@@ -148,29 +179,22 @@ class Document:
 
     The page wires ``resource_loader`` (called with an element whose ``src``
     must be fetched) and the renderer observes :attr:`dirty`.
+
+    What a rendered frame needs is kept current as the tree changes, by
+    :meth:`_set_connected` (see DESIGN.md, "DOM bookkeeping"): the number
+    of connected elements, the connected ``<a>`` elements and the
+    connected non-root elements with a non-zero ``pending_paint_cost``.
+    The two indexes are dicts used as insertion-ordered sets.
     """
 
     def __init__(self, sim):
         self.sim = sim
-        self.document_element = Element.__new__(Element)
-        # manual init to avoid begin_resource_load on the root
-        self.document_element.node_id = next(_node_ids)
-        self.document_element.trace_id = sim.next_object_seq("dom")
-        self.document_element.document = self
-        self.document_element.tag = "html"
-        self.document_element.attributes = {}
-        self.document_element.style = {}
-        self.document_element.children = []
-        self.document_element.parent = None
-        self.document_element.text = ""
-        self.document_element.onload = None
-        self.document_element.onerror = None
-        self.document_element.matched_visited = False
-        self.document_element.payload = None
-        self.document_element.pending_paint_cost = 0
-        self.body = self.create_element("body")
-        self.document_element.children.append(self.body)
-        self.body.parent = self.document_element
+        self._node_count = 1
+        self._anchors: Dict[Element, None] = {}
+        self._paint: Dict[Element, None] = {}
+        self.document_element = Element(self, "html")
+        self.document_element.connected = True
+        self.body = self.document_element.attach(self.create_element("body"))
         self.dirty = True
         self.resource_loader: Optional[Callable[[Element], None]] = None
         #: onload handler for the document itself (page load event).
@@ -198,9 +222,41 @@ class Document:
             self.resource_loader(element)
 
     # ------------------------------------------------------------------
+    # render-facing bookkeeping
+    # ------------------------------------------------------------------
+    def _set_connected(self, top: Element, connected: bool) -> None:
+        """Flip ``connected`` on ``top``'s subtree and update the indexes."""
+        anchors = self._anchors
+        paint = self._paint
+        nodes = (top, *top.descendants())
+        for element in nodes:
+            element.connected = connected
+            if connected:
+                if element.tag == "a":
+                    anchors[element] = None
+                if element._pending_paint_cost:
+                    paint[element] = None
+            else:
+                anchors.pop(element, None)
+                paint.pop(element, None)
+        self._node_count += len(nodes) if connected else -len(nodes)
+
     def node_count(self) -> int:
         """Number of connected elements (root included)."""
-        return 1 + sum(1 for _ in self.document_element.descendants())
+        return self._node_count
+
+    def anchors(self) -> Iterable[Element]:
+        """The connected ``<a>`` elements (visited-link style pass)."""
+        return self._anchors.keys()
+
+    def take_pending_paint(self) -> int:
+        """Sum and clear the pending paint cost of connected non-root elements."""
+        cost = 0
+        for element in self._paint:
+            cost += element._pending_paint_cost
+            element._pending_paint_cost = 0
+        self._paint.clear()
+        return cost
 
     def serialize(self) -> str:
         """Serialise the whole tree."""

@@ -165,19 +165,17 @@ class Renderer:
             self._ensure_scheduled()
 
     def _frame_cost(self) -> int:
+        document = self.document
         cost = self.costs.base_paint
-        node_count = self.document.node_count()
-        if self.document.dirty:
-            cost += node_count * (self.costs.style_per_node + self.costs.layout_per_node)
-            # visited-link style resolution (history sniffing channel)
-            for element in self.document.document_element.descendants():
-                if element.tag == "a" and "href" in element.attributes:
-                    if self.visited_fn(element.attributes["href"]):
-                        element.matched_visited = True
-                        cost += self.costs.visited_style_extra
+        if document.dirty:
+            costs = self.costs
+            cost += document.node_count() * (costs.style_per_node + costs.layout_per_node)
+            # visited-link style resolution (history sniffing channel);
+            # href is read now, not at attach time: attacks write it directly
+            for element in document.anchors():
+                attributes = element.attributes
+                if "href" in attributes and self.visited_fn(attributes["href"]):
+                    element.matched_visited = True
+                    cost += costs.visited_style_extra
         # pending paint effects (SVG filters, expensive canvases, ...)
-        for element in self.document.document_element.descendants():
-            if element.pending_paint_cost:
-                cost += element.pending_paint_cost
-                element.pending_paint_cost = 0
-        return cost
+        return cost + document.take_pending_paint()

@@ -27,11 +27,14 @@ A ``submit`` streams frames until the job resolves; every frame carries
     {"type": "done",      "job": "job-1", "report": {...}}
 
 plus ``cancelled`` / ``error`` terminal frames, ``pong`` for pings and
-``status`` / ``bye`` for the control ops.  Large population jobs set
-``result_every`` to thin the per-page result frames (0 = none, rely on
-the periodic telemetry frames); the summary statistics are unaffected —
-aggregation happens server-side in the bounded
-:class:`~repro.workloads.population.PopulationAggregate`.
+``status`` / ``bye`` for the control ops.  A line that is not a JSON
+object gets an ``error`` frame and the connection keeps serving; a
+population spec with a mistyped or out-of-range field is refused before
+``accepted`` with an ``error`` frame naming it (``"field": "size"``).
+Large population jobs set ``result_every`` to thin the per-page result
+frames (0 = none, rely on the periodic telemetry frames); the summary
+statistics are unaffected — aggregation happens server-side in the
+bounded :class:`~repro.workloads.population.PopulationAggregate`.
 
 Concurrency model: one accept loop plus one thread per connection.
 Jobs execute on their connection's thread, serialized by a run lock
@@ -73,6 +76,45 @@ class _ClientGone(Exception):
 
 class _Cancelled(Exception):
     """The job's cancel event fired."""
+
+
+class JobSpecError(ValueError):
+    """A job spec field has the wrong type or is out of range."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(f"job field {field!r}: {message}")
+        self.field = field
+
+
+#: Integer fields of a population job spec -> their minimum (None: any).
+_POPULATION_INTS: Dict[str, Optional[int]] = {
+    "size": 1,
+    "seed": None,
+    "visits": 1,
+    "sessions": 1,
+    "window": 1,
+    "result_every": 0,
+    "telemetry_every": 0,
+}
+#: Fields that may be ``null`` (their runner treats None as "not given").
+_NULLABLE = ("sessions", "window")
+
+
+def _check_population_spec(spec: dict) -> None:
+    """Raise :class:`JobSpecError` for the first bad field of ``spec``."""
+    from .workloads.population import MODES
+
+    for field, minimum in _POPULATION_INTS.items():
+        if field not in spec or (spec[field] is None and field in _NULLABLE):
+            continue
+        value = spec[field]
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise JobSpecError(field, f"expected an integer, got {value!r}")
+        if minimum is not None and value < minimum:
+            raise JobSpecError(field, f"must be >= {minimum}, got {value}")
+    mode = spec.get("mode", "model")
+    if mode not in MODES:
+        raise JobSpecError("mode", f"expected one of {list(MODES)}, got {mode!r}")
 
 
 class JobState:
@@ -318,6 +360,11 @@ class ExperimentServer:
                 except ValueError:
                     self._send(conn, {"type": "error", "message": "malformed JSON line"})
                     continue
+                if not isinstance(request, dict):
+                    self._send(
+                        conn, {"type": "error", "message": "request must be a JSON object"}
+                    )
+                    continue
                 if not self._dispatch(conn, request):
                     break
         except (_ClientGone, OSError):
@@ -364,7 +411,11 @@ class ExperimentServer:
             self.shutdown()  # joins every thread but this one
             return False
         if op == "submit":
-            self._do_submit(conn, request.get("job") or {})
+            job = request.get("job") or {}
+            if isinstance(job, dict):
+                self._do_submit(conn, job)
+            else:
+                self._send(conn, {"type": "error", "message": "job must be a JSON object"})
             return True
         self._send(conn, {"type": "error", "message": f"unknown op {op!r}"})
         return True
@@ -381,6 +432,12 @@ class ExperimentServer:
                     f"expected one of {sorted(JOB_KINDS)}",
                 },
             )
+            return
+        try:
+            if kind == "population":
+                _check_population_spec(spec)
+        except JobSpecError as exc:
+            self._send(conn, {"type": "error", "field": exc.field, "message": str(exc)})
             return
         with self._jobs_lock:
             self._next_job += 1

@@ -10,6 +10,7 @@ their result payloads (and ``json.dumps`` it without custom encoders).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Dict, Optional, Sequence, Tuple
 
 from ..telemetry.sketch import QuantileSketch
@@ -93,12 +94,7 @@ class Histogram:
 
     def record(self, value: float) -> None:
         """Record one observation."""
-        index = len(self.bounds)
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                index = i
-                break
-        self.counts[index] += 1
+        self.counts[bisect_left(self.bounds, value)] += 1
         self.total += value
         self.count += 1
         self.min = value if self.min is None else min(self.min, value)

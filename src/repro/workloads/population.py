@@ -59,6 +59,7 @@ __all__ = [
     "BAND_MIX",
     "DEFAULT_BROWSER_MIX",
     "DEFAULT_POPULATION",
+    "MODES",
     "PopulationAggregate",
     "PopulationModel",
     "Session",
@@ -77,6 +78,9 @@ __all__ = [
 
 #: Population size assumed when none is given: "the internet".
 DEFAULT_POPULATION = 1_000_000
+
+#: How a page visit is measured: the closed-form load model or the simulator.
+MODES: Tuple[str, ...] = ("model", "sim")
 
 #: Site archetypes: the weight class the site generator uses plus a
 #: load-model scale factor (how much heavier a page of this archetype

@@ -77,6 +77,63 @@ def test_malformed_json_gets_an_error_frame_not_a_hangup(server):
         conn.close()
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [[1, 2], "ping", 3, None, {"op": "submit", "job": [1]}, {"op": "submit", "job": "x"}],
+)
+def test_non_object_frames_get_an_error_frame_not_a_hangup(server, payload):
+    conn = raw_connect(server)
+    try:
+        send_line(conn, payload)
+        reader = conn.makefile("r", encoding="utf-8", newline="\n")
+        frame = read_frame(reader)
+        assert frame["type"] == "error"
+        assert "must be a JSON object" in frame["message"]
+        send_line(conn, {"op": "ping"})
+        assert read_frame(reader)["type"] == "pong"
+    finally:
+        conn.close()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("size", "x"),
+        ("size", -5),
+        ("size", 0),
+        ("size", True),
+        ("size", None),
+        ("seed", "0"),
+        ("seed", 1.5),
+        ("visits", 0),
+        ("sessions", 0),
+        ("sessions", "3"),
+        ("window", 0),
+        ("result_every", -1),
+        ("telemetry_every", 2.0),
+        ("mode", "quantum"),
+        ("mode", 1),
+    ],
+)
+def test_bad_population_specs_are_refused_before_acceptance(server, field, value):
+    job = dict(SMALL_JOB, **{field: value})
+    frames = list(submit_and_stream(server.socket_path, job, timeout=10.0))
+    assert len(frames) == 1
+    assert frames[0]["type"] == "error"
+    assert frames[0]["field"] == field
+    assert repr(field) in frames[0]["message"]
+    # refused, not accepted-then-failed: no job was registered
+    assert request(server.socket_path, {"op": "status"})["jobs"] == []
+
+
+def test_nullable_population_fields_still_mean_unset(server):
+    job = dict(SMALL_JOB, sessions=None, window=None)
+    frames = list(submit_and_stream(server.socket_path, job, timeout=60.0))
+    assert frames[0]["type"] == "accepted"
+    assert frames[-1]["type"] == "done"
+    assert frames[-1]["report"]["pages"] == SMALL_JOB["size"]
+
+
 def test_unknown_op_and_unknown_job_kind_are_reported(server):
     response = request(server.socket_path, {"op": "frobnicate"})
     assert response["type"] == "error" and "unknown op" in response["message"]
