@@ -95,16 +95,17 @@ Commands:
       python -m repro cube [--full] [--attacks A,B,...] [--defenses X,Y,...]
                            [--seed N] [--json] [--out FILE]
 
-  Every cell runs under a private tracer, so alongside the Table I style
-  verdict each cell carries an overhead profile (event-loop queue-delay
-  CDF, kernel stage latencies, task counts).  Cells where the
+  Every cell runs under a private metrics-only capture, so alongside
+  the Table I style verdict each cell carries an overhead profile
+  (event-loop queue-delay CDF, kernel stage latencies, task counts).  Cells where the
   JSKernel/DetBrowser pair disagree — by verdict or by overhead shape —
   are reported as first-class divergent cells.  ``--out FILE`` writes the
   JSON cube (the CI artifact), ``--json`` prints it.
 
 Any command also accepts ``--metrics``: the run is captured under a
-tracer and a metrics summary (task counts, queueing-delay and kernel
-latency histograms) is printed afterwards.
+metrics-only tracer (no trace events are buffered) and a metrics summary
+(task counts, queueing-delay and kernel latency histograms) is printed
+afterwards.
 
 Any command also accepts ``--profile``: the run executes under
 ``cProfile``, a ``PROFILE_<command>.pstats`` dump is written for
@@ -1034,7 +1035,7 @@ def main(argv=None) -> int:
     def execute() -> None:
         if command != "trace" and "--metrics" in rest:
             rest.remove("--metrics")
-            tracer = Tracer()
+            tracer = Tracer(events=False)
             if profile:
                 with capture(tracer):
                     _run_profiled(command, run, rest)

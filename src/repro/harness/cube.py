@@ -3,8 +3,9 @@
 Table I answers "does the defense stop the attack?"; the cube adds the
 axis the paper never reports — what each defense *costs* while doing it,
 and where two defenses that both claim the threat model disagree.  Every
-``(attack, defense)`` cell runs under a private tracer so the existing
-metrics registry yields a per-cell **overhead profile**: the merged
+``(attack, defense)`` cell runs under a private metrics-only capture
+(``Tracer(events=False)``: metrics recorded, no trace event buffered), so
+the metrics registry yields a per-cell **overhead profile**: the merged
 event-loop queue-delay CDF, kernel stage latencies when a kernel is
 installed, and task counts.
 
@@ -128,7 +129,12 @@ def overhead_profile(snapshot: dict) -> dict:
 
 
 def run_cube_cell(attack: str, defense: str, seed: int = 0, sketches: bool = False) -> dict:
-    """One cube cell: verdict + overhead profile under a private tracer.
+    """One cube cell: verdict + overhead profile from a metrics-only capture.
+
+    The cell reads only the capture's metrics snapshot, so it runs under
+    ``Tracer(events=False)``: the overhead histograms are recorded but no
+    trace event is buffered (a ``postMessage``-heavy cell would otherwise
+    fill hundreds of thousands of rows nobody reads).
 
     ``sketches`` turns on quantile-sketch recording for the cell's
     histograms (telemetry mode).  It is an explicit parameter — never
@@ -144,7 +150,7 @@ def run_cube_cell(attack: str, defense: str, seed: int = 0, sketches: bool = Fal
     """
     from ..attacks import create as create_attack
 
-    tracer = Tracer(enabled=True)
+    tracer = Tracer(events=False)
     tracer.metrics.sketch_observations = bool(sketches)
     with capture(tracer):
         result = create_attack(attack).run(defense, seed=seed)

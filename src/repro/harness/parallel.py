@@ -241,11 +241,11 @@ def _run_chunk(
     """Worker entry point: run a contiguous chunk of cell specs.
 
     When ``collect_metrics`` is set the chunk runs under a private
-    tracer and the metrics snapshot rides back with the results.  When
-    ``collect_telemetry`` is set the tracer also records quantile
-    sketches, and the worker appends its shard lifecycle and per-cell
-    outcomes to the shared run log (the path rides in through
-    ``$REPRO_RUNLOG``).
+    metrics-only capture (no trace events are buffered) and the metrics
+    snapshot rides back with the results.  When ``collect_telemetry`` is
+    set the tracer also records quantile sketches, and the worker appends
+    its shard lifecycle and per-cell outcomes to the shared run log (the
+    path rides in through ``$REPRO_RUNLOG``).
     """
     specs, collect_metrics, collect_telemetry, shard = batch
     # worker_recorder() installs itself as the process-ambient recorder,
@@ -265,7 +265,7 @@ def _run_chunk(
 
     if not collect_metrics:
         return execute(), None
-    tracer = Tracer(enabled=True)
+    tracer = Tracer(events=False)
     tracer.metrics.sketch_observations = collect_telemetry
     if recorder is not None:
         with recorder.span("engine.shard", shard=shard, cells=len(specs)):
@@ -612,17 +612,17 @@ class ExperimentEngine:
 
         Without telemetry this is the historical serial path: the cell
         runs directly under the ambient tracer capture.  With telemetry
-        the cell runs under a private sketch-recording tracer whose
-        snapshot is folded into the telemetry metric set *and* the
-        ambient tracer — the same merge semantics as a pool worker, so
-        serial and parallel telemetry snapshots are byte-identical
-        (trace *events* are not collected in telemetry mode, matching
-        the pool).
+        the cell runs under a private sketch-recording metrics-only
+        capture whose snapshot is folded into the telemetry metric set
+        *and* the ambient tracer — the same merge semantics as a pool
+        worker, so serial and parallel telemetry snapshots are
+        byte-identical (trace *events* are not buffered in telemetry
+        mode, matching the pool).
         """
         spec = (cell.kind, cell.params)
         if telem is None:
             return _run_cell(spec)
-        tracer = Tracer(enabled=True)
+        tracer = Tracer(events=False)
         tracer.metrics.sketch_observations = True
         recorder = telem.recorder
         if recorder is not None:

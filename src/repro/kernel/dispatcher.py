@@ -131,8 +131,9 @@ class Dispatcher:
                 and event.predicted_time < self._last_predicted
             ):
                 self.order_violations += 1
-                if sim.tracer.enabled:
-                    sim.tracer.instant(
+                tracer = sim.tracer
+                if tracer.buffering:
+                    tracer.instant(
                         sim.trace_pid,
                         self.kspace.scheduler.trace_row,
                         "kernel.order-violation",
@@ -144,7 +145,8 @@ class Dispatcher:
                             "previous_ns": self._last_predicted,
                         },
                     )
-                    sim.tracer.metrics.counter("kernel.order_violations").inc()
+                if tracer.enabled:
+                    tracer.metrics.counter("kernel.order_violations").inc()
             self._last_predicted = event.predicted_time
         self.kspace.clock.tick_to(event.predicted_time)
         event.status = DISPATCHED
@@ -154,7 +156,7 @@ class Dispatcher:
             now = sim.now
             kind = event.kind
             dispatch_latency = now - (event.confirm_time or event.reg_time)
-            if event.trace_span:
+            if event.trace_span and tracer.buffering:
                 name = self._span_names.get(kind)
                 if name is None:
                     name = self._span_names[kind] = f"kevent:{kind}"

@@ -140,6 +140,9 @@ class KernelEventQueue:
         self._sim = None
         self._trace_row = ""
         self._last_depth = -1
+        # cached depth gauge, rebound when the capture's tracer changes
+        self._mh_tracer = None
+        self._mh_depth = None
         # O(1) bookkeeping, kept exact by the push/pop/remove paths below
         # and by KernelEvent.cancel/confirm via the event's queue backref —
         # replaces the O(n) heap scans the seed used for len()/pending_count
@@ -150,6 +153,7 @@ class KernelEventQueue:
         """Emit depth counters onto ``row`` of ``sim``'s tracer."""
         self._sim = sim
         self._trace_row = row
+        self._mh_tracer = None
 
     def _depth_changed(self) -> None:
         # one counter sample per net depth change; ``_by_id`` is the live
@@ -161,15 +165,20 @@ class KernelEventQueue:
         if depth == self._last_depth:
             return
         self._last_depth = depth
-        sim.tracer.counter(
-            sim.trace_pid,
-            self._trace_row,
-            "kernel.queue_depth",
-            sim.now,
-            {"depth": depth},
-            cat="kernel",
-        )
-        sim.tracer.metrics.gauge(f"kernel.queue.depth.{self._trace_row}").set(depth)
+        tracer = sim.tracer
+        if tracer.buffering:
+            tracer.counter(
+                sim.trace_pid,
+                self._trace_row,
+                "kernel.queue_depth",
+                sim.now,
+                {"depth": depth},
+                cat="kernel",
+            )
+        if tracer is not self._mh_tracer:
+            self._mh_tracer = tracer
+            self._mh_depth = tracer.metrics.gauge(f"kernel.queue.depth.{self._trace_row}")
+        self._mh_depth.set(depth)
 
     def push(self, event: KernelEvent) -> KernelEvent:
         """Insert an event at its predicted time."""

@@ -130,21 +130,22 @@ class Scheduler:
         self.registered_count += 1
         tracer = sim.tracer
         if tracer.enabled:
-            event.trace_span = tracer.next_span_id()
-            tracer.async_event(
-                "b",
-                sim.trace_pid,
-                self.trace_row,
-                self._span_name(kind),
-                event.trace_span,
-                event.reg_time,
-                cat="kernel-event",
-                args={
-                    "predicted_ns": predicted,
-                    "label": event.label,
-                    "ctx": sim.trace_context,
-                },
-            )
+            if tracer.buffering:
+                event.trace_span = tracer.next_span_id()
+                tracer.async_event(
+                    "b",
+                    sim.trace_pid,
+                    self.trace_row,
+                    self._span_name(kind),
+                    event.trace_span,
+                    event.reg_time,
+                    cat="kernel-event",
+                    args={
+                        "predicted_ns": predicted,
+                        "label": event.label,
+                        "ctx": sim.trace_context,
+                    },
+                )
             if tracer is not self._mh_tracer:
                 self._bind_metrics(tracer)
             counter = self._mh_registered.get(kind)
@@ -217,7 +218,7 @@ class Scheduler:
         tracer = sim.tracer
         if tracer.enabled:
             latency = event.confirm_time - event.reg_time
-            if event.trace_span:
+            if event.trace_span and tracer.buffering:
                 tracer.async_event(
                     "n",
                     sim.trace_pid,
@@ -280,7 +281,7 @@ class Scheduler:
         tracer = sim.tracer
         if not tracer.enabled:
             return
-        if event.trace_span:
+        if event.trace_span and tracer.buffering:
             tracer.async_event(
                 "e",
                 sim.trace_pid,

@@ -61,7 +61,7 @@ class KernelSpace:
         try:
             self.policy.on_api_call(api, self, info or {})
         except SecurityError as veto:
-            if tracer.enabled:
+            if tracer.buffering:
                 frame = sim.current_frame
                 ctx = frame.thread_name if frame is not None else sim.native_context
                 tracer.instant(
@@ -72,6 +72,7 @@ class KernelSpace:
                     cat="policy",
                     args={"api": api, "rule": str(veto), "ctx": ctx},
                 )
+            if tracer.enabled:
                 tracer.metrics.counter("kernel.policy_vetoes").inc()
             raise
 

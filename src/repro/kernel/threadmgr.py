@@ -130,14 +130,15 @@ class ThreadManager:
         sim = self.kspace.loop.sim
         tracer = sim.tracer
         if tracer.enabled:
-            tracer.instant(
-                sim.trace_pid,
-                self.kspace.scheduler.trace_row,
-                "kthread.spawn",
-                sim.now,
-                cat="kernel",
-                args={"kthread": f"kthread-{kthread.id}", "ctx": sim.trace_context},
-            )
+            if tracer.buffering:
+                tracer.instant(
+                    sim.trace_pid,
+                    self.kspace.scheduler.trace_row,
+                    "kthread.spawn",
+                    sim.now,
+                    cat="kernel",
+                    args={"kthread": f"kthread-{kthread.id}", "ctx": sim.trace_context},
+                )
             tracer.metrics.counter("kernel.threads_spawned").inc()
         return stub
 
@@ -381,18 +382,19 @@ class ThreadManager:
         sim = self.kspace.loop.sim
         tracer = sim.tracer
         if tracer.enabled:
-            tracer.instant(
-                sim.trace_pid,
-                self.kspace.scheduler.trace_row,
-                "kthread.terminate",
-                sim.now,
-                cat="kernel",
-                args={
-                    "kthread": f"kthread-{kthread.id}",
-                    "user_level_only": bool(claimed),
-                    "ctx": sim.trace_context,
-                },
-            )
+            if tracer.buffering:
+                tracer.instant(
+                    sim.trace_pid,
+                    self.kspace.scheduler.trace_row,
+                    "kthread.terminate",
+                    sim.now,
+                    cat="kernel",
+                    args={
+                        "kthread": f"kthread-{kthread.id}",
+                        "user_level_only": bool(claimed),
+                        "ctx": sim.trace_context,
+                    },
+                )
             tracer.metrics.counter("kernel.threads_terminated").inc()
         if claimed:
             # user-level close only: the kernel worker stays alive, so no

@@ -26,7 +26,8 @@ out-of-order posts go to a heap, and the pop takes the minimum across both
 — the same total order as a single heap at a fraction of the cost for the
 common in-order workload.  The dispatch path binds its hot attributes to
 locals, builds no strings when the tracer is disabled, and reuses cached
-metric handles when it is enabled (see DESIGN.md §12).
+metric handles when it is enabled; a metrics-only tracer builds no event
+``args`` either (see DESIGN.md §12).
 """
 
 from __future__ import annotations
@@ -429,15 +430,16 @@ class EventLoop:
             if queue_delay < 0:
                 queue_delay = 0
             source = task.source
-            tracer.complete(
-                sim.trace_pid,
-                self.name,
-                task.label,
-                start,
-                end,
-                cat="task",
-                args={"source": source.value, "queue_delay_ns": queue_delay},
-            )
+            if tracer.buffering:
+                tracer.complete(
+                    sim.trace_pid,
+                    self.name,
+                    task.label,
+                    start,
+                    end,
+                    cat="task",
+                    args={"source": source.value, "queue_delay_ns": queue_delay},
+                )
             if tracer is not self._mh_tracer:
                 self._bind_metrics(tracer)
             counter = self._mh_task_counters.get(source)
@@ -473,14 +475,15 @@ class EventLoop:
         if drained:
             tracer = self.sim.tracer
             if tracer.enabled:
-                tracer.instant(
-                    self.sim.trace_pid,
-                    self.name,
-                    "microtask-checkpoint",
-                    frame.local_now,
-                    cat="task",
-                    args={"count": drained},
-                )
+                if tracer.buffering:
+                    tracer.instant(
+                        self.sim.trace_pid,
+                        self.name,
+                        "microtask-checkpoint",
+                        frame.local_now,
+                        cat="task",
+                        args={"count": drained},
+                    )
                 if tracer is not self._mh_tracer:
                     self._bind_metrics(tracer)
                 self._mh_micro_counter.inc(drained)

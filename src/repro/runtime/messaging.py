@@ -85,6 +85,14 @@ class MessageEndpoint:
         self.messages_delivered = 0
         # per-channel constant: posting must not build a label per message
         self._post_label = ""
+        # cached metric handles, rebound when the capture's tracer changes;
+        # the post and deliver sides bind separately so a capture only
+        # grows the counters its messages actually moved
+        self._mh_post_tracer = None
+        self._mh_posted = None
+        self._mh_clone_units = None
+        self._mh_deliver_tracer = None
+        self._mh_delivered = None
 
     # ------------------------------------------------------------------
     def connect(self, peer: "MessageEndpoint") -> None:
@@ -108,21 +116,26 @@ class MessageEndpoint:
         tracer = sim.tracer
         flow = 0
         if tracer.enabled:
-            flow = tracer.next_flow_id()
-            args = {"to": self.peer.name, "size": size, "flow": flow}
-            frame = sim.current_frame
-            if frame is not None and frame.thread_name != self.loop.name:
-                args["ctx"] = frame.thread_name
-            tracer.instant(
-                sim.trace_pid,
-                self.loop.name,
-                "postMessage",
-                sim.now,
-                cat="message",
-                args=args,
-            )
-            tracer.metrics.counter("messages.posted").inc()
-            tracer.metrics.counter("messages.clone_units").inc(size)
+            if tracer.buffering:
+                flow = tracer.next_flow_id()
+                args = {"to": self.peer.name, "size": size, "flow": flow}
+                frame = sim.current_frame
+                if frame is not None and frame.thread_name != self.loop.name:
+                    args["ctx"] = frame.thread_name
+                tracer.instant(
+                    sim.trace_pid,
+                    self.loop.name,
+                    "postMessage",
+                    sim.now,
+                    cat="message",
+                    args=args,
+                )
+            if tracer is not self._mh_post_tracer:
+                self._mh_post_tracer = tracer
+                self._mh_posted = tracer.metrics.counter("messages.posted")
+                self._mh_clone_units = tracer.metrics.counter("messages.clone_units")
+            self._mh_posted.inc()
+            self._mh_clone_units.inc(size)
         views: List[Any] = []
         if transfer:
             for item in transfer:
@@ -156,15 +169,22 @@ class MessageEndpoint:
         sim = self.loop.sim
         tracer = sim.tracer
         if tracer.enabled:
-            tracer.instant(
-                sim.trace_pid,
-                self.loop.name,
-                "message.receive",
-                sim.now,
-                cat="message",
-                args={"from": event.source.name if event.source else "", "flow": event.trace_flow},
-            )
-            tracer.metrics.counter("messages.delivered").inc()
+            if tracer.buffering:
+                tracer.instant(
+                    sim.trace_pid,
+                    self.loop.name,
+                    "message.receive",
+                    sim.now,
+                    cat="message",
+                    args={
+                        "from": event.source.name if event.source else "",
+                        "flow": event.trace_flow,
+                    },
+                )
+            if tracer is not self._mh_deliver_tracer:
+                self._mh_deliver_tracer = tracer
+                self._mh_delivered = tracer.metrics.counter("messages.delivered")
+            self._mh_delivered.inc()
         for handler in list(self.handlers):
             handler(event)
 

@@ -245,14 +245,15 @@ class SimNetwork:
             self.inflight.append(request)
             tracer = loop.sim.tracer
             if tracer.enabled:
-                tracer.instant(
-                    loop.sim.trace_pid,
-                    loop.sim.trace_context,
-                    "fault.net-drop",
-                    now,
-                    cat="fault",
-                    args={"url": url.serialize()},
-                )
+                if tracer.buffering:
+                    tracer.instant(
+                        loop.sim.trace_pid,
+                        loop.sim.trace_context,
+                        "fault.net-drop",
+                        now,
+                        cat="fault",
+                        args={"url": url.serialize()},
+                    )
                 tracer.metrics.counter("network.faults.dropped").inc()
             return request
 

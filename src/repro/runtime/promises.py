@@ -97,7 +97,7 @@ class SimPromise:
         sim = self.loop.sim
         tracer = sim.tracer
         flow = 0
-        if tracer.enabled:
+        if tracer.buffering:
             frame = sim.current_frame
             settler = frame.thread_name if frame is not None else sim.native_context
             if settler != self.loop.name:
@@ -132,7 +132,7 @@ class SimPromise:
     ) -> None:
         sim = self.loop.sim
         tracer = sim.tracer
-        if tracer.enabled:
+        if tracer.buffering:
             tracer.instant(
                 sim.trace_pid,
                 self.loop.name,

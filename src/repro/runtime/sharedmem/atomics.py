@@ -233,7 +233,7 @@ class AtomicCell:
                 waiter.timer.cancel()
             to_wake.append(waiter)
             woken += 1
-        if tracer.enabled:
+        if tracer.buffering:
             if to_wake:
                 flow = tracer.next_flow_id()
             heap.sync_event(

@@ -219,7 +219,7 @@ class SharedHeap:
     def sync_event(self, name: str, obj_id: str, extra: Optional[dict] = None) -> None:
         """Emit one synchronisation instant (lock/wait-notify traffic)."""
         tracer = self.sim.tracer
-        if not tracer.enabled:
+        if not tracer.buffering:
             return
         args = {"obj": obj_id}
         if extra:
@@ -251,14 +251,15 @@ class SharedHeap:
         self.deadlocks.append(record)
         tracer = self.sim.tracer
         if tracer.enabled:
-            tracer.instant(
-                self.sim.trace_pid,
-                self.current_thread(),
-                "sharedmem.deadlock",
-                self.sim.now,
-                cat="sync",
-                args={"cycle": record["cycle"]},
-            )
+            if tracer.buffering:
+                tracer.instant(
+                    self.sim.trace_pid,
+                    self.current_thread(),
+                    "sharedmem.deadlock",
+                    self.sim.now,
+                    cat="sync",
+                    args={"cycle": record["cycle"]},
+                )
             tracer.metrics.counter("sharedmem.deadlocks").inc()
 
     def note_unblocked(self, thread: str) -> None:
@@ -364,26 +365,28 @@ class SharedHeap:
             self.leaked_cells.extend(leaked)
             tracer = self.sim.tracer
             if tracer.enabled:
-                tracer.instant(
-                    self.sim.trace_pid,
-                    self.current_thread(),
-                    "sharedmem.leak",
-                    self.sim.now,
-                    cat="gc",
-                    args={"cells": len(leaked), "objs": [c.obj_id for c in leaked]},
-                )
+                if tracer.buffering:
+                    tracer.instant(
+                        self.sim.trace_pid,
+                        self.current_thread(),
+                        "sharedmem.leak",
+                        self.sim.now,
+                        cat="gc",
+                        args={"cells": len(leaked), "objs": [c.obj_id for c in leaked]},
+                    )
                 tracer.metrics.counter("sharedmem.leaked_cells").inc(len(leaked))
 
         tracer = self.sim.tracer
         if tracer.enabled:
-            tracer.instant(
-                self.sim.trace_pid,
-                self.current_thread(),
-                "gc.sweep",
-                self.sim.now,
-                cat="gc",
-                args=dict(stats),
-            )
+            if tracer.buffering:
+                tracer.instant(
+                    self.sim.trace_pid,
+                    self.current_thread(),
+                    "gc.sweep",
+                    self.sim.now,
+                    cat="gc",
+                    args=dict(stats),
+                )
             tracer.metrics.counter("sharedmem.gc.runs").inc()
         return stats
 
@@ -395,7 +398,7 @@ class SharedHeap:
         start = sim.now
         sim.consume(pause_ns)
         tracer = sim.tracer
-        if tracer.enabled:
+        if tracer.buffering:
             tracer.complete(
                 sim.trace_pid, current, "gc.pause", start, sim.now,
                 cat="gc", args={"agent": current, "trigger": True},
@@ -416,7 +419,7 @@ class SharedHeap:
         start = sim.now
         sim.consume(pause_ns)
         tracer = sim.tracer
-        if tracer.enabled:
+        if tracer.buffering:
             tracer.complete(
                 sim.trace_pid, thread, "gc.pause", start, sim.now,
                 cat="gc", args={"agent": thread, "trigger": False},

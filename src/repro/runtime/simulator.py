@@ -211,7 +211,7 @@ class Simulator:
         #: capture); every runtime/kernel component reaches it through its
         #: simulator.  ``trace_pid`` is this run's Chrome-trace process id.
         self.tracer = current_tracer()
-        self.trace_pid = self.tracer.register_run() if self.tracer.enabled else 0
+        self.trace_pid = self.tracer.register_run() if self.tracer.buffering else 0
         #: The ambient schedule perturber (``None`` outside an exploration
         #: run); consulted on every schedule() and notified per dispatch.
         self.perturber = current_perturber()

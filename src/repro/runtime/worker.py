@@ -158,20 +158,21 @@ class WorkerAgent:
 
         tracer = host.sim.tracer
         if tracer.enabled:
-            frame = host.sim.current_frame
-            ctx = frame.thread_name if frame is not None else host.sim.native_context
-            tracer.instant(
-                host.sim.trace_pid,
-                self.name,
-                "worker.spawn",
-                host.sim.now,
-                cat="worker",
-                args={
-                    "src": self.script_url.serialize(),
-                    "parent": parent_loop.name,
-                    "ctx": ctx,
-                },
-            )
+            if tracer.buffering:
+                frame = host.sim.current_frame
+                ctx = frame.thread_name if frame is not None else host.sim.native_context
+                tracer.instant(
+                    host.sim.trace_pid,
+                    self.name,
+                    "worker.spawn",
+                    host.sim.now,
+                    cat="worker",
+                    args={
+                        "src": self.script_url.serialize(),
+                        "parent": parent_loop.name,
+                        "ctx": ctx,
+                    },
+                )
             tracer.metrics.counter("workers.spawned").inc()
 
         self._begin_startup(parent_base_url)
@@ -419,14 +420,15 @@ class WorkerAgent:
             return
         tracer = self.host.sim.tracer
         if tracer.enabled:
-            tracer.instant(
-                self.host.sim.trace_pid,
-                self.name,
-                "fault.worker-crash",
-                self.host.sim.now,
-                cat="fault",
-                args={"detail": detail},
-            )
+            if tracer.buffering:
+                tracer.instant(
+                    self.host.sim.trace_pid,
+                    self.name,
+                    "fault.worker-crash",
+                    self.host.sim.now,
+                    cat="fault",
+                    args={"detail": detail},
+                )
             tracer.metrics.counter("workers.crashed").inc()
         event = ErrorEvent(detail, filename=self.script_url.serialize())
         self.parent_loop.post(
@@ -451,16 +453,17 @@ class WorkerAgent:
         self.termination_reason = reason
         tracer = self.host.sim.tracer
         if tracer.enabled:
-            frame = self.host.sim.current_frame
-            ctx = frame.thread_name if frame is not None else self.host.sim.native_context
-            tracer.instant(
-                self.host.sim.trace_pid,
-                self.name,
-                "worker.terminate",
-                self.host.sim.now,
-                cat="worker",
-                args={"reason": reason, "ctx": ctx},
-            )
+            if tracer.buffering:
+                frame = self.host.sim.current_frame
+                ctx = frame.thread_name if frame is not None else self.host.sim.native_context
+                tracer.instant(
+                    self.host.sim.trace_pid,
+                    self.name,
+                    "worker.terminate",
+                    self.host.sim.now,
+                    cat="worker",
+                    args={"reason": reason, "ctx": ctx},
+                )
             tracer.metrics.counter("workers.terminated").inc()
         self.host.sim.schedule(
             self.host.sim.now, self._finalize_termination, label=f"{self.name}:teardown"

@@ -29,8 +29,9 @@ A ``submit`` streams frames until the job resolves; every frame carries
 plus ``cancelled`` / ``error`` terminal frames, ``pong`` for pings and
 ``status`` / ``bye`` for the control ops.  A line that is not a JSON
 object gets an ``error`` frame and the connection keeps serving; a
-population spec with a mistyped or out-of-range field is refused before
-``accepted`` with an ``error`` frame naming it (``"field": "size"``).
+job spec (population or campaign) with a mistyped, out-of-range or
+unknown-name field is refused before ``accepted`` with an ``error`` frame
+naming it (``"field": "size"``).
 Large population jobs set ``result_every`` to thin the per-page result
 frames (0 = none, rely on the periodic telemetry frames); the summary
 statistics are unaffected — aggregation happens server-side in the
@@ -96,15 +97,20 @@ _POPULATION_INTS: Dict[str, Optional[int]] = {
     "result_every": 0,
     "telemetry_every": 0,
 }
+#: Integer fields of a campaign job spec -> their minimum (None: any).
+_CAMPAIGN_INTS: Dict[str, Optional[int]] = {
+    "seed": None,
+    "budget": 1,
+    "max_witnesses": 1,
+    "telemetry_every": 0,
+    "parallel": 1,
+}
 #: Fields that may be ``null`` (their runner treats None as "not given").
-_NULLABLE = ("sessions", "window")
+_NULLABLE = ("sessions", "window", "parallel")
 
 
-def _check_population_spec(spec: dict) -> None:
-    """Raise :class:`JobSpecError` for the first bad field of ``spec``."""
-    from .workloads.population import MODES
-
-    for field, minimum in _POPULATION_INTS.items():
+def _check_ints(spec: dict, ints: Dict[str, Optional[int]]) -> None:
+    for field, minimum in ints.items():
         if field not in spec or (spec[field] is None and field in _NULLABLE):
             continue
         value = spec[field]
@@ -112,9 +118,42 @@ def _check_population_spec(spec: dict) -> None:
             raise JobSpecError(field, f"expected an integer, got {value!r}")
         if minimum is not None and value < minimum:
             raise JobSpecError(field, f"must be >= {minimum}, got {value}")
-    mode = spec.get("mode", "model")
-    if mode not in MODES:
-        raise JobSpecError("mode", f"expected one of {list(MODES)}, got {mode!r}")
+
+
+def _check_choice(spec: dict, field: str, default: str, choices: List[str]) -> None:
+    value = spec.get(field, default)
+    if value not in choices:
+        raise JobSpecError(field, f"expected one of {choices}, got {value!r}")
+
+
+def _check_population_spec(spec: dict) -> None:
+    """Raise :class:`JobSpecError` for the first bad field of ``spec``."""
+    from .workloads.population import MODES
+
+    _check_ints(spec, _POPULATION_INTS)
+    _check_choice(spec, "mode", "model", list(MODES))
+
+
+def _check_campaign_spec(spec: dict) -> None:
+    """Raise :class:`JobSpecError` for the first bad field of ``spec``."""
+    from .attacks import all_attack_names
+    from .defenses import available
+    from .explore.campaign import DEFAULT_ATTACK, DEFAULT_DEFENSE, STRATEGIES
+
+    _check_choice(spec, "attack", DEFAULT_ATTACK, all_attack_names())
+    _check_choice(spec, "defense", DEFAULT_DEFENSE, available())
+    _check_choice(spec, "strategy", "mixed", ["mixed", *STRATEGIES])
+    _check_ints(spec, _CAMPAIGN_INTS)
+    cache = spec.get("cache")
+    if cache is not None and not isinstance(cache, str):
+        raise JobSpecError("cache", f"expected a string or null, got {cache!r}")
+
+
+#: Job kind -> spec validator, run before the job is ``accepted``.
+_SPEC_CHECKS: Dict[str, Callable[[dict], None]] = {
+    "population": _check_population_spec,
+    "campaign": _check_campaign_spec,
+}
 
 
 class JobState:
@@ -434,8 +473,7 @@ class ExperimentServer:
             )
             return
         try:
-            if kind == "population":
-                _check_population_spec(spec)
+            _SPEC_CHECKS[kind](spec)
         except JobSpecError as exc:
             self._send(conn, {"type": "error", "field": exc.field, "message": str(exc)})
             return

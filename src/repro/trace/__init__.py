@@ -19,9 +19,19 @@ Usage::
 
 Simulators created inside :func:`capture` pick the tracer up on
 construction; an existing browser can be adopted with
-``tracer.attach(browser.sim)``.  Outside a capture every simulator shares
-the disabled :data:`NULL_TRACER`, whose cost at each instrumentation site
-is one attribute load and one branch.
+``tracer.attach(browser.sim)``.
+
+A capture is in one of three states (see :mod:`repro.trace.tracer`):
+
+* **disabled** — outside a capture every simulator shares the disabled
+  :data:`NULL_TRACER`, whose cost at each instrumentation site is one
+  attribute load and one branch;
+* **metrics-only** — ``capture(Tracer(events=False))`` records counters,
+  gauges and histograms but buffers no event, for callers that read only
+  ``tracer.metrics``;
+* **full** — ``capture()`` records metrics and buffers every event.
+
+No metric depends on whether events are buffered.
 """
 
 from .access import state_access

@@ -41,19 +41,20 @@ def state_access(
     tracer = sim.tracer
     if not tracer.enabled:
         return
-    frame = sim.current_frame
-    thread = frame.thread_name if frame is not None else sim.native_context
-    args = {"obj": obj, "op": op, "kind": kind}
-    if access:
-        args["access"] = access
-    if detail:
-        args.update(detail)
-    tracer.instant(
-        sim.trace_pid,
-        thread,
-        "state.access",
-        sim.now,
-        cat="state",
-        args=args,
-    )
+    if tracer.buffering:
+        frame = sim.current_frame
+        thread = frame.thread_name if frame is not None else sim.native_context
+        args = {"obj": obj, "op": op, "kind": kind}
+        if access:
+            args["access"] = access
+        if detail:
+            args.update(detail)
+        tracer.instant(
+            sim.trace_pid,
+            thread,
+            "state.access",
+            sim.now,
+            cat="state",
+            args=args,
+        )
     tracer.metrics.counter(f"state.accesses.{kind}").inc()

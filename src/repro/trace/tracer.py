@@ -7,18 +7,37 @@ spin up a fresh browser per trial, so a matrix capture contains many
 runs), a *thread* is one simulated JavaScript thread or kernel row within
 it.  Chrome-trace export maps runs to ``pid`` and threads to ``tid``.
 
-Zero overhead when disabled
----------------------------
+Three capture states
+--------------------
+
+A tracer has two jobs, recording metrics and buffering events, and a
+capture switches them on independently:
+
+* **disabled** (``Tracer(enabled=False)``): nothing is recorded.  The
+  module-level :data:`NULL_TRACER` is permanently disabled and shared by
+  every simulator created outside a capture.
+* **metrics-only** (``Tracer(events=False)``): counters, gauges and
+  histograms are recorded; no event is buffered, no event ``args`` dict
+  is built and no flow or span id is allocated.  For callers that only
+  read :attr:`Tracer.metrics` (cube cells, engine chunks, ``--metrics``).
+* **full** (``Tracer()``): metrics plus the event buffer, for callers
+  that read :attr:`Tracer.events` (the ``trace`` command, the analysis
+  layer, fuzz oracles).
 
 Instrumentation sites follow the pattern::
 
     tracer = self.sim.tracer
     if tracer.enabled:
-        tracer.instant(...)
+        if tracer.buffering:
+            tracer.instant(...)
+        counter.inc()
 
 so a disabled tracer costs one attribute load and one branch per site and
-allocates nothing.  The module-level :data:`NULL_TRACER` is permanently
-disabled and shared by every simulator created outside a capture.
+allocates nothing, and a metrics-only tracer pays one more branch in
+place of the event.  ``buffering`` implies ``enabled``, so a site that
+only emits events checks ``buffering`` alone.  No metric may depend on
+whether events are buffered: a metrics-only capture's
+``metrics.snapshot()`` equals a full capture's of the same run.
 
 Determinism
 -----------
@@ -51,10 +70,17 @@ from .metrics import MetricsRegistry
 
 
 class Tracer:
-    """Collects trace events and owns the capture's metrics registry."""
+    """Owns the capture's metrics registry and, optionally, its events.
 
-    def __init__(self, enabled: bool = True):
+    ``enabled`` means "record metrics"; ``events=False`` makes a
+    metrics-only capture whose event buffer stays empty (see the module
+    docstring).
+    """
+
+    def __init__(self, enabled: bool = True, events: bool = True):
         self.enabled = enabled
+        #: Do sites emit events?  Never true for a disabled tracer.
+        self.buffering = enabled and events
         #: Compact event rows (see module docstring); read via ``events``.
         self._buffer: List[tuple] = []
         #: Materialised prefix of ``_buffer`` as Chrome-trace-shaped dicts.
@@ -84,7 +110,7 @@ class Tracer:
         this is for tracing a browser that was constructed earlier.
         """
         sim.tracer = self
-        sim.trace_pid = self.register_run() if self.enabled else 0
+        sim.trace_pid = self.register_run() if self.buffering else 0
 
     def next_span_id(self) -> int:
         """Allocate a tracer-local id for an async (b/n/e) span."""
@@ -106,7 +132,7 @@ class Tracer:
         return flow_id
 
     # ------------------------------------------------------------------
-    # event emission (callers must check ``enabled`` first)
+    # event emission (callers must check ``buffering`` first)
     # ------------------------------------------------------------------
     def complete(
         self,

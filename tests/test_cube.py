@@ -68,6 +68,44 @@ def test_run_cube_cell_carries_verdict_and_overhead():
     assert cell["overhead"]["tasks"] > 0
 
 
+def _default_slice():
+    from repro.__main__ import CUBE_ATTACKS
+    from repro.defenses import CUBE_DEFENSES
+
+    return [(a, d) for a in CUBE_ATTACKS for d in CUBE_DEFENSES]
+
+
+@pytest.mark.parametrize("attack, defense", _default_slice())
+def test_metrics_only_cell_matches_a_fully_traced_run(attack, defense, monkeypatch):
+    """run_cube_cell's metrics-only capture loses nothing the cube reads."""
+    import repro.harness.cube as cube_module
+    from repro.attacks import create as create_attack
+    from repro.trace import Tracer, capture
+
+    made = []
+
+    class SpyTracer(Tracer):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(cube_module, "Tracer", SpyTracer)
+    cell = run_cube_cell(attack, defense, seed=0)
+    assert len(made) == 1
+    assert made[0].enabled and not made[0].buffering
+    assert len(made[0]) == 0
+
+    full = Tracer()
+    with capture(full):
+        result = create_attack(attack).run(defense, seed=0)
+    assert len(full) > 0
+    assert cell == {
+        "defended": result.defended,
+        "detail": result.detail,
+        "overhead": overhead_profile(full.metrics.snapshot()),
+    }
+
+
 # ----------------------------------------------------------------------
 # divergence logic (synthetic)
 # ----------------------------------------------------------------------

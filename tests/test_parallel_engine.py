@@ -230,3 +230,28 @@ def test_bench_scale_reads_env_lazily(monkeypatch):
 def test_determinism_audit_engine_rejects_single_seed():
     with pytest.raises(ValueError):
         determinism_matrix(["cache-attack"], ["jskernel"], seeds=(0,))
+
+
+def test_engine_metrics_captures_buffer_no_events(monkeypatch):
+    """Pool chunks and serial telemetry cells read only metrics."""
+    from repro.harness import parallel
+    from repro.telemetry import RunTelemetry
+
+    made = []
+
+    class SpyTracer(Tracer):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(parallel, "Tracer", SpyTracer)
+    spec = ("table1", {"attack": "cve-2018-5092", "defense": "jskernel", "seed": 0})
+    results, snapshot = parallel._run_chunk(([spec], True, False, 0))
+    assert results[0]["ok"] and snapshot["counters"]
+    outcome = ExperimentEngine()._serial_outcome(Cell(*spec), RunTelemetry("table1"))
+    assert outcome == results[0]
+    assert len(made) == 2
+    for tracer in made:
+        assert tracer.enabled and not tracer.buffering
+        assert len(tracer) == 0
+    assert made[0].metrics.snapshot() == snapshot

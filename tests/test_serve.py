@@ -126,6 +126,48 @@ def test_bad_population_specs_are_refused_before_acceptance(server, field, value
     assert request(server.socket_path, {"op": "status"})["jobs"] == []
 
 
+CAMPAIGN_JOB = {
+    "kind": "campaign",
+    "attack": "cve-2018-5092",
+    "defense": "jskernel",
+    "seed": 0,
+    "budget": 1,
+    "max_witnesses": 1,
+    "telemetry_every": 1,
+}
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("attack", "no-such-attack"),
+        ("defense", "no-such-defense"),
+        ("strategy", "chaos"),
+        ("seed", "0"),
+        ("budget", 0),
+        ("max_witnesses", "3"),
+        ("telemetry_every", -1),
+        ("parallel", 0),
+        ("cache", 7),
+    ],
+)
+def test_bad_campaign_specs_are_refused_before_acceptance(server, field, value):
+    job = dict(CAMPAIGN_JOB, **{field: value})
+    frames = list(submit_and_stream(server.socket_path, job, timeout=60.0))
+    assert len(frames) == 1
+    assert frames[0]["type"] == "error"
+    assert frames[0]["field"] == field
+    assert repr(field) in frames[0]["message"]
+    assert request(server.socket_path, {"op": "status"})["jobs"] == []
+
+
+def test_valid_campaign_spec_with_null_fields_runs_to_done(server):
+    job = dict(CAMPAIGN_JOB, parallel=None, cache=None, strategy="jitter")
+    frames = list(submit_and_stream(server.socket_path, job, timeout=60.0))
+    assert frames[0]["type"] == "accepted"
+    assert frames[-1]["type"] == "done"
+
+
 def test_nullable_population_fields_still_mean_unset(server):
     job = dict(SMALL_JOB, sessions=None, window=None)
     frames = list(submit_and_stream(server.socket_path, job, timeout=60.0))

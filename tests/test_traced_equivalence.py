@@ -1,11 +1,14 @@
 """Tracing must be an observer: it cannot change what the runtime does.
 
 The fast path keeps every tracer touch behind ``if tracer.enabled``
-branches; these properties verify the other half of the contract — that
-enabling the tracer changes no dispatch schedule, no virtual timestamp
-and no task outcome.  Hypothesis drives a mixed workload (timers with
-arbitrary delays and costs, promise chains, postMessage ping-pong) and
-compares the untraced run's task record stream against the traced one.
+branches (and every event behind ``if tracer.buffering``); these
+properties verify the other half of the contract — that enabling the
+tracer changes no dispatch schedule, no virtual timestamp and no task
+outcome.  Hypothesis drives a mixed workload (timers with arbitrary
+delays and costs, promise chains, postMessage ping-pong) and compares the
+untraced run's task record stream against a full capture's and a
+metrics-only capture's; the two captures must also agree on every metric,
+while the metrics-only one buffers no event.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -85,10 +88,18 @@ def test_traced_run_matches_untraced_run(timer_specs, promise_chain, rounds):
     tracer = Tracer()
     with capture(tracer):
         traced = _run_workload(timer_specs, promise_chain, rounds)
+    metrics_only = Tracer(events=False)
+    with capture(metrics_only):
+        counted = _run_workload(timer_specs, promise_chain, rounds)
     assert traced == untraced
+    assert counted == untraced
     # the traced run must actually have observed something when work ran
     if untraced["records"]:
         assert len(tracer) > 0
+        assert metrics_only.metrics.snapshot()["counters"]
+    assert metrics_only.metrics.snapshot() == tracer.metrics.snapshot()
+    assert len(metrics_only) == 0
+    assert metrics_only.events == [] and metrics_only.runs == {}
 
 
 def test_two_traced_captures_serialise_identically():
