@@ -19,8 +19,8 @@ Commands:
                                  [--check BASELINE] [--tolerance F]
 
   Seeded events/sec microbenchmarks (raw dispatch, timer storms, the
-  timer-wheel out-of-order storm, pre-compiled setTimeout chains,
-  worker ping-pong, kernel scheduling, traced-vs-untraced overhead)
+  timer-wheel out-of-order storm, worker ping-pong, kernel scheduling,
+  traced-vs-untraced overhead)
   written to ``BENCH_core.json``.  ``--check`` compares against a
   committed baseline and exits non-zero on a >20% normalised
   events/sec drop (``--tolerance`` overrides the 0.20; see
@@ -267,6 +267,10 @@ def _cmd_bench_core(args) -> None:
         )
     if not 0 < tolerance < 1:
         _die(f"--tolerance is a fraction in (0, 1), got {tolerance}")
+    if repeats < 1:
+        _die(f"--repeats must be at least 1, got {repeats}")
+    if not scale > 0:
+        _die(f"--scale must be positive, got {scale}")
     only = [name for name in only_arg.split(",") if name] or None
 
     try:
@@ -431,8 +435,7 @@ def _flag_value(args, flag, default):
         return default
     index = args.index(flag)
     if index + 1 >= len(args):
-        print(TRACE_USAGE)
-        raise SystemExit(2)
+        _die(f"{flag} needs a value")
     value = args[index + 1]
     del args[index : index + 2]
     return value

@@ -10,26 +10,22 @@ Methodology
 -----------
 
 Each benchmark builds a fresh workload per repeat, garbage-collects,
-then times one full drain with ``time.perf_counter_ns``.  Reported:
+then times one full drain with ``time.perf_counter_ns``.  Each repeat
+yields one mean per-event cost (elapsed ÷ events).  Reported:
 
 * ``events_per_sec`` — the *best* repeat (least interference);
-* ``p50_ns_per_event`` / ``p95_ns_per_event`` — percentiles of the mean
-  per-event cost across repeats (spread ⇒ noisy machine);
-* ``alloc_blocks_per_event`` — ``sys.getallocatedblocks`` delta per
-  event on the median repeat: the zero-alloc-when-untraced invariant
-  shows up here as a near-zero value for raw dispatch.
+* ``median_ns_per_event`` / ``max_ns_per_event`` — the median and the
+  maximum of the per-repeat means (a wide gap ⇒ noisy machine).
 
-The ``raw-dispatch``, ``timer-storm``, ``wheel`` and ``precompiled``
-workloads are also run against the frozen seed implementations
-(:mod:`.bench_reference`) in the same process, giving an in-run,
-same-machine speedup — the number the ISSUE acceptance criteria refer
-to (``wheel``: timer-wheel vs seed-heap dispatch of an out-of-order
-storm; ``precompiled``: batch-executed vs seed-interpreted timer
-chain).  The reference throughput
-doubles as a machine-speed calibration for the CI regression check:
-``check_regression`` compares *normalised* throughput (live ÷ reference)
-against the committed baseline, so a slower CI runner does not fail the
-gate and a faster one does not mask a regression.
+The ``raw-dispatch``, ``timer-storm`` and ``wheel`` workloads are also
+run against the frozen seed implementations (:mod:`.bench_reference`)
+in the same process, giving an in-run, same-machine speedup (``wheel``:
+timer-wheel vs seed-heap dispatch of an out-of-order storm).  The
+reference throughput doubles as a machine-speed calibration for the CI
+regression check: ``check_regression`` compares *normalised* throughput
+(live ÷ reference) against the committed baseline, so a slower CI
+runner does not fail the gate and a faster one does not mask a
+regression.
 
 Workloads draw any randomness from a seeded private stream
 (:mod:`repro.runtime.rng`); two invocations execute identical schedules.
@@ -38,12 +34,11 @@ Workloads draw any randomness from a seeded private stream
 from __future__ import annotations
 
 import gc
-import sys
+import statistics
 import time
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..kernel.policies.deterministic import DeterministicSchedulingPolicy
-from ..runtime.compile import TimerChainSpec, compile_chain
 from ..kernel.policy import CompositePolicy, SchedulingGrid
 from ..kernel.space import KernelSpace
 from ..runtime.eventloop import EventLoop
@@ -60,7 +55,6 @@ DEFAULT_EVENTS = {
     "dispatch-chain": 100_000,
     "timer-storm": 30_000,
     "wheel": 100_000,
-    "precompiled": 30_000,
     "worker-ping-pong": 10_000,
     "kernel-schedule": 10_000,
     "traced-overhead": 20_000,
@@ -161,33 +155,6 @@ def _setup_wheel(n: int, reference: bool) -> Callable[[], int]:
     return run
 
 
-def _setup_precompiled(n: int, reference: bool) -> Callable[[], int]:
-    """A statically-known setTimeout chain with microtask reactions.
-
-    The live build runs it through the scenario pre-compiler's batch
-    executor; the reference build runs the identical spec interpreted on
-    the frozen seed loop (one real timer, wake and dispatch per link).
-    Both drains produce the same virtual schedule, so the normalised
-    ratio is exactly the pre-compiler's speedup.
-    """
-    sim = ReferenceSimulator() if reference else Simulator()
-    loop_cls = ReferenceEventLoop if reference else EventLoop
-    loop = loop_cls(sim, "main", task_dispatch_cost=0)
-    timers = TimerRegistry(loop)
-    spec = TimerChainSpec.uniform(
-        n, delay_ms=1, cost=2_000, micros=2, micro_cost=400
-    )
-    chain = compile_chain(spec, timers)
-
-    def run() -> int:
-        (chain.start_interpreted if reference else chain.start)()
-        sim.run()
-        assert chain.finished, (chain.mode, chain.links_batched)
-        return sim.events_processed
-
-    return run
-
-
 def _setup_worker_ping_pong(n: int, reference: bool) -> Callable[[], int]:
     sim = ReferenceSimulator() if reference else Simulator()
     loop_cls = ReferenceEventLoop if reference else EventLoop
@@ -271,49 +238,37 @@ WORKLOADS: Dict[str, Callable[[int, bool], Callable[[], int]]] = {
     "dispatch-chain": _setup_dispatch_chain,
     "timer-storm": _setup_timer_storm,
     "wheel": _setup_wheel,
-    "precompiled": _setup_precompiled,
     "worker-ping-pong": _setup_worker_ping_pong,
     "kernel-schedule": _setup_kernel_schedule,
 }
 
 #: Workloads also run against the frozen seed implementations.
-REFERENCE_WORKLOADS = ("raw-dispatch", "timer-storm", "wheel", "precompiled")
+REFERENCE_WORKLOADS = ("raw-dispatch", "timer-storm", "wheel")
 
 
 # ----------------------------------------------------------------------
 # measurement
 # ----------------------------------------------------------------------
 
-def _percentile(sorted_values: List[float], fraction: float) -> float:
-    if not sorted_values:
-        return 0.0
-    index = min(int(round(fraction * (len(sorted_values) - 1))), len(sorted_values) - 1)
-    return sorted_values[index]
-
-
 def _measure(
     setup: Callable[[], Callable[[], int]], repeats: int
 ) -> Dict[str, float]:
-    samples: List[Tuple[int, int, int]] = []  # (elapsed_ns, events, blocks)
+    samples: List[Tuple[int, int]] = []  # (elapsed_ns, events)
     for _ in range(repeats):
         run = setup()
         gc.collect()
-        blocks_before = sys.getallocatedblocks()
         start = time.perf_counter_ns()
         events = run()
         elapsed = time.perf_counter_ns() - start
-        blocks = sys.getallocatedblocks() - blocks_before
-        samples.append((max(elapsed, 1), events, blocks))
-    per_event = sorted(elapsed / events for elapsed, events, _ in samples)
-    best = max(events * 1e9 / elapsed for elapsed, events, _ in samples)
-    median_blocks = sorted(samples, key=lambda s: s[0])[len(samples) // 2]
+        samples.append((max(elapsed, 1), events))
+    per_event = [elapsed / events for elapsed, events in samples]
+    best = max(events * 1e9 / elapsed for elapsed, events in samples)
     return {
         "events": samples[0][1],
         "repeats": repeats,
         "events_per_sec": round(best, 1),
-        "p50_ns_per_event": round(_percentile(per_event, 0.50), 1),
-        "p95_ns_per_event": round(_percentile(per_event, 0.95), 1),
-        "alloc_blocks_per_event": round(median_blocks[2] / median_blocks[1], 3),
+        "median_ns_per_event": round(statistics.median(per_event), 1),
+        "max_ns_per_event": round(max(per_event), 1),
     }
 
 
@@ -323,6 +278,10 @@ def run_bench_core(
     only: Optional[List[str]] = None,
 ) -> dict:
     """Run the suite; returns the BENCH_core.json payload."""
+    if repeats < 1:
+        raise ValueError(f"repeats must be at least 1, got {repeats}")
+    if not scale > 0:
+        raise ValueError(f"scale must be positive, got {scale}")
     names = only or list(WORKLOADS)
     known = set(WORKLOADS) | {"traced-overhead"}
     unknown = [name for name in names if name not in known]
@@ -359,12 +318,10 @@ def run_bench_core(
             "overhead_ratio": round(
                 untraced["events_per_sec"] / traced_m["events_per_sec"], 2
             ),
-            "traced_alloc_blocks_per_event": traced_m["alloc_blocks_per_event"],
-            "untraced_alloc_blocks_per_event": untraced["alloc_blocks_per_event"],
         }
 
     report = {
-        "schema": 2,
+        "schema": 3,
         "scale": scale,
         "benchmarks": benchmarks,
         "speedups_vs_seed_reference": speedups,
@@ -429,15 +386,14 @@ def format_report(report: dict) -> str:
     lines = []
     header = (
         f"{'benchmark':22s} {'events':>9s} {'events/sec':>12s} "
-        f"{'p50 ns/ev':>10s} {'p95 ns/ev':>10s} {'allocs/ev':>10s}"
+        f"{'median ns/ev':>13s} {'max ns/ev':>10s}"
     )
     lines.append(header)
     lines.append("-" * len(header))
     for name, stats in report["benchmarks"].items():
         lines.append(
             f"{name:22s} {stats['events']:>9d} {stats['events_per_sec']:>12,.0f} "
-            f"{stats['p50_ns_per_event']:>10.1f} {stats['p95_ns_per_event']:>10.1f} "
-            f"{stats['alloc_blocks_per_event']:>10.3f}"
+            f"{stats['median_ns_per_event']:>13.1f} {stats['max_ns_per_event']:>10.1f}"
         )
     speedups = report.get("speedups_vs_seed_reference") or {}
     if speedups:

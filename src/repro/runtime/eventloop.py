@@ -304,11 +304,6 @@ class EventLoop:
         the schedule-a-wake path bit for bit.  Timer storms, where
         hundreds of timers share one millisecond slot, collapse from one
         full queue round-trip per task to one per slot.
-
-        Also called by the compiled-chain batch executor
-        (:mod:`repro.runtime.compile`) at every batch exit, so a bailed
-        batch rejoins the generic schedule through exactly the code an
-        interpreted wake would have run.
         """
         sim = self.sim
         budget = _INLINE_BATCH_LIMIT
@@ -352,7 +347,7 @@ class EventLoop:
                 self._arm()
                 return
             # no other simulator event may exist at (or before) the current
-            # time (Simulator._peek_time, inlined conservatively; cancelled
+            # time (the earliest queued time, bounded conservatively: cancelled
             # entries count, and a wheel with an empty ready run reports
             # its drained-region bound — every stored entry is at or past
             # it, so a bound beyond the dispatch time proves no entry can

@@ -372,24 +372,6 @@ class Simulator:
             if not call.cancelled:
                 return call
 
-    def _peek_time(self) -> Optional[int]:
-        """Time of the earliest queued entry, cancelled entries included.
-
-        A conservative bound for the event loops' inline-wake check: a
-        cancelled head makes the loop take the normal schedule-a-wake
-        path, which is always correct, just slower.
-        """
-        fifo = self._fifo
-        head = self._wheel.peek()
-        if fifo:
-            t = fifo[0].time
-            if head is not None and head.time < t:
-                return head.time
-            return t
-        if head is not None:
-            return head.time
-        return None
-
     def _dispatch(self, call: ScheduledCall) -> None:
         """Shared (slow-path) dispatch used by :meth:`step` / :meth:`run_until`."""
         self._time = call.time

@@ -26,19 +26,23 @@ def tiny_report():
 
 
 def test_report_schema(tiny_report):
-    assert tiny_report["schema"] == 2
+    assert tiny_report["schema"] == 3
     benchmarks = tiny_report["benchmarks"]
     for name in WORKLOADS:
         assert name in benchmarks, name
         stats = benchmarks[name]
         assert stats["events"] > 0
         assert stats["events_per_sec"] > 0
-        assert stats["p50_ns_per_event"] <= stats["p95_ns_per_event"]
+        assert 0 < stats["median_ns_per_event"] <= stats["max_ns_per_event"]
+        assert "alloc_blocks_per_event" not in stats
     for name in REFERENCE_WORKLOADS:
         assert f"{name}-reference" in benchmarks
         assert name in tiny_report["speedups_vs_seed_reference"]
     traced = tiny_report["traced_overhead"]
     assert traced["overhead_ratio"] > 0
+    assert set(traced) == {
+        "untraced_events_per_sec", "traced_events_per_sec", "overhead_ratio",
+    }
 
 
 def test_workloads_are_deterministic():
@@ -59,16 +63,32 @@ def test_only_filter_and_unknown_name():
 
 
 def test_timed_lane_cases_run_against_the_seed_reference():
-    """The ISSUE's acceptance cases: the wheel storm and the pre-compiled
-    chain both measure against the frozen seed implementations."""
-    report = run_bench_core(scale=0.01, repeats=1, only=["wheel", "precompiled"])
+    """The wheel storm on the timed lane measures against the frozen
+    seed heap."""
+    report = run_bench_core(scale=0.01, repeats=1, only=["wheel"])
     benchmarks = report["benchmarks"]
-    assert set(benchmarks) == {
-        "wheel", "wheel-reference", "precompiled", "precompiled-reference",
-    }
-    for name in ("wheel", "precompiled"):
-        assert benchmarks[name]["events"] == benchmarks[f"{name}-reference"]["events"]
-        assert report["speedups_vs_seed_reference"][name] > 0
+    assert set(benchmarks) == {"wheel", "wheel-reference"}
+    assert benchmarks["wheel"]["events"] == benchmarks["wheel-reference"]["events"]
+    assert report["speedups_vs_seed_reference"]["wheel"] > 0
+
+
+def test_median_and_max_are_over_the_per_repeat_means(monkeypatch):
+    """Five repeats of 1000 events at 10/30/20/50/40 us: the median mean
+    is 30 ns/event and the max 50, whatever order the repeats ran in."""
+    import repro.harness.bench_core as bench_core
+
+    elapsed = iter([10_000, 30_000, 20_000, 50_000, 40_000])
+    clock = [0]
+
+    def fake_clock():
+        clock[0] += 1
+        return 0 if clock[0] % 2 else next(elapsed)
+
+    monkeypatch.setattr(bench_core.time, "perf_counter_ns", fake_clock)
+    stats = bench_core._measure(lambda: (lambda: 1000), repeats=5)
+    assert stats["median_ns_per_event"] == 30.0
+    assert stats["max_ns_per_event"] == 50.0
+    assert stats["events_per_sec"] == 100_000_000.0
 
 
 def test_format_report_renders(tiny_report):
@@ -131,40 +151,45 @@ def test_check_regression_ignores_missing_benchmarks(tiny_report):
 
 
 # ----------------------------------------------------------------------
-# compiled build lane (tools/build_compiled.py)
+# CLI argument errors
 # ----------------------------------------------------------------------
 
-def test_build_compiled_lane_runs_or_skips_gracefully(tmp_path):
-    """The optional AOT lane must exit 0 everywhere: either it built and
-    benched the extension, or it recorded exactly why it skipped."""
-    import json
-    import os
-    import subprocess
-    import sys
+@pytest.mark.parametrize(
+    "flag, value, fragment",
+    [
+        ("--repeats", "0", "--repeats must be at least 1"),
+        ("--repeats", "-3", "--repeats must be at least 1"),
+        ("--scale", "0", "--scale must be positive"),
+        ("--scale", "-5", "--scale must be positive"),
+    ],
+)
+def test_bench_core_rejects_bad_numbers(tmp_path, capsys, flag, value, fragment):
+    from repro.__main__ import main
 
-    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    out = tmp_path / "bench_compiled.json"
-    env = dict(os.environ, PYTHONPATH=os.path.join(repo, "src"))
-    result = subprocess.run(
-        [
-            sys.executable,
-            os.path.join(repo, "tools", "build_compiled.py"),
-            "--quick",
-            "--out",
-            str(out),
-        ],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=600,
-    )
-    assert result.returncode == 0, result.stderr
-    report = json.loads(out.read_text())
-    assert report["schema"] == 1
-    assert report["module"] == "repro.runtime.wheel"
-    if report["status"] == "ok":
-        assert report["speedup"] > 0
-        assert report["toolchain"] in ("mypyc", "Cython")
-    else:
-        assert report["status"] == "skipped"
-        assert report["reason"]
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit) as err:
+        main(["bench", "core", "--only", "raw-dispatch", "--out", str(out), flag, value])
+    assert err.value.code == 2
+    assert fragment in capsys.readouterr().err
+    assert not out.exists()
+    keyword = {"--repeats": "repeats", "--scale": "scale"}[flag]
+    with pytest.raises(ValueError, match=keyword):
+        run_bench_core(only=["raw-dispatch"], **{keyword: float(value)})
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["bench", "core", "--out"], "--out"),
+        (["cube", "--attacks"], "--attacks"),
+    ],
+)
+def test_flag_without_value_names_the_flag(capsys, argv, flag):
+    from repro.__main__ import main
+
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert f"error: {flag} needs a value" in captured.err
+    assert "repro trace" not in captured.out

@@ -650,24 +650,22 @@ def test_check_serve_validates_a_real_captured_stream(tmp_path):
 # ----------------------------------------------------------------------
 def good_bench_report(**overrides):
     report = {
-        "schema": 2,
+        "schema": 3,
         "scale": 1.0,
         "benchmarks": {
             "wheel": {
                 "events": 1000,
                 "repeats": 3,
                 "events_per_sec": 2_000_000.0,
-                "p50_ns_per_event": 500.0,
-                "p95_ns_per_event": 600.0,
-                "alloc_blocks_per_event": 0.0,
+                "median_ns_per_event": 500.0,
+                "max_ns_per_event": 600.0,
             },
             "wheel-reference": {
                 "events": 1000,
                 "repeats": 3,
                 "events_per_sec": 1_000_000.0,
-                "p50_ns_per_event": 1000.0,
-                "p95_ns_per_event": 1100.0,
-                "alloc_blocks_per_event": 0.0,
+                "median_ns_per_event": 1000.0,
+                "max_ns_per_event": 1100.0,
             },
         },
         "speedups_vs_seed_reference": {"wheel": 2.0},
@@ -696,8 +694,8 @@ def test_check_bench_accepts_a_valid_report(tmp_path):
         (lambda r: r["benchmarks"]["wheel"].pop("events_per_sec"), "numeric"),
         (lambda r: r["benchmarks"]["wheel"].update(events=0), "non-positive"),
         (
-            lambda r: r["benchmarks"]["wheel"].update(p95_ns_per_event=1.0),
-            "p95 < p50",
+            lambda r: r["benchmarks"]["wheel"].update(max_ns_per_event=1.0),
+            "max < median",
         ),
         (lambda r: r["benchmarks"].pop("wheel"), "no live counterpart"),
         (
@@ -729,19 +727,19 @@ def test_check_bench_rejects_schema_drift(tmp_path, mutate, fragment):
 
 def test_check_bench_enforces_required_cases(tmp_path):
     path = write(tmp_path / "bench.json", good_bench_report())
-    with pytest.raises(CheckFailure, match="required benchmarks missing: precompiled"):
-        ci_checks.check_bench(path, require=["wheel", "precompiled"])
+    with pytest.raises(CheckFailure, match="required benchmarks missing: timer-storm"):
+        ci_checks.check_bench(path, require=["wheel", "timer-storm"])
 
 
 def test_check_bench_accepts_a_real_quick_report(tmp_path):
-    """End to end: a real --only wheel,precompiled run satisfies the CI gate."""
+    """End to end: a real --only wheel run satisfies the CI gate."""
     from repro.harness.bench_core import run_bench_core
 
-    report = run_bench_core(scale=0.01, repeats=1, only=["wheel", "precompiled"])
+    report = run_bench_core(scale=0.01, repeats=1, only=["wheel"])
     path = write(tmp_path / "bench.json", report)
-    summary = ci_checks.check_bench(path, require=["wheel", "precompiled"])
-    assert summary.startswith("ok: 4 benchmarks")
-    assert ci_checks.main(["bench", path, "--require", "wheel,precompiled"]) == 0
+    summary = ci_checks.check_bench(path, require=["wheel"])
+    assert summary.startswith("ok: 2 benchmarks")
+    assert ci_checks.main(["bench", path, "--require", "wheel"]) == 0
 
 
 def test_committed_baseline_satisfies_the_bench_gate():
@@ -751,7 +749,7 @@ def test_committed_baseline_satisfies_the_bench_gate():
         "baselines",
         "bench_core_baseline.json",
     )
-    summary = ci_checks.check_bench(baseline, require=["wheel", "precompiled"])
+    summary = ci_checks.check_bench(baseline, require=["wheel"])
     assert summary.startswith("ok:")
 
 

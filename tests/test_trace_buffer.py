@@ -4,7 +4,7 @@ The tracer stores events as uniform tuples and materialises the
 Chrome-trace dicts lazily (see ``repro.trace.tracer``).  These tests pin
 that refactor three ways:
 
-* golden digests: two seeded scenarios captured with the pre-fast-path
+* golden digests: three seeded scenarios captured with the pre-fast-path
   (seed) pipeline — ``tests/golden/trace_digests.json`` — must still
   hash identically;
 * a full golden export: the small scenario's Chrome trace is compared
@@ -22,6 +22,10 @@ import os
 
 from repro.attacks import create
 from repro.harness import run_table1
+from repro.runtime.eventloop import EventLoop
+from repro.runtime.simulator import Simulator
+from repro.runtime.task import Microtask
+from repro.runtime.timers import TimerRegistry
 from repro.trace import Tracer, capture
 from repro.trace.export import dump_chrome_trace, format_timeline
 
@@ -63,6 +67,30 @@ def test_matrix_scenario_exports_byte_identical():
             defenses=["legacy-chrome", "jskernel"],
             cache=None,
         )
+    assert len(tracer) == golden["events"]
+    assert _sha256(dump_chrome_trace(tracer)) == golden["chrome_sha256"]
+    assert _sha256(format_timeline(tracer)) == golden["timeline_sha256"]
+
+
+def test_timer_chain_exports_byte_identical():
+    """A plain setTimeout chain on a bare loop: each link burns 2 us,
+    posts two 400 ns microtasks and re-arms itself 1 ms later."""
+    golden = _digests()["chain"]
+    tracer = Tracer()
+    with capture(tracer):
+        sim = Simulator()
+        loop = EventLoop(sim, "main")
+        timers = TimerRegistry(loop)
+
+        def link(index):
+            sim.consume(2_000)
+            for _ in range(2):
+                loop.post_microtask(Microtask(lambda: None, (), 400))
+            if index + 1 < 40:
+                timers.set_timeout(link, 1, index + 1)
+
+        timers.set_timeout(link, 1, 0)
+        sim.run()
     assert len(tracer) == golden["events"]
     assert _sha256(dump_chrome_trace(tracer)) == golden["chrome_sha256"]
     assert _sha256(format_timeline(tracer)) == golden["timeline_sha256"]

@@ -13,7 +13,7 @@ importable, unit-tested functions behind one CLI::
         --expected tests/golden/cube_expected.json --cdf-out /tmp/cdfs.json
     python tools/ci_checks.py sharedmem /tmp/shm-cube.json \
         --witnesses /tmp/deadlock-witnesses
-    python tools/ci_checks.py bench    BENCH_core.json --require wheel,precompiled
+    python tools/ci_checks.py bench    BENCH_core.json --require wheel
 
 Each checker raises :class:`CheckFailure` with a human-readable message
 on violation and returns an ``ok: ...`` summary line on success; the CLI
@@ -610,25 +610,25 @@ def check_serve(path: str) -> str:
 # bench-core: BENCH_core.json schema + internal consistency
 # ----------------------------------------------------------------------
 #: Schema version ``python -m repro bench core`` writes (bumped when the
-#: report shape changes; 2 added the wheel/precompiled cases).
-BENCH_SCHEMA = 2
+#: report shape changes; 3 replaced the p50/p95/alloc columns with the
+#: median and max of the per-repeat means).
+BENCH_SCHEMA = 3
 
 _BENCH_STAT_KEYS = (
     "events",
     "repeats",
     "events_per_sec",
-    "p50_ns_per_event",
-    "p95_ns_per_event",
-    "alloc_blocks_per_event",
+    "median_ns_per_event",
+    "max_ns_per_event",
 )
 
 
 def check_bench(path: str, require: Optional[List[str]] = None) -> str:
-    """Validate a ``BENCH_core.json`` report (schema 2).
+    """Validate a ``BENCH_core.json`` report (schema 3).
 
     Checks: the schema version matches; every benchmark entry carries
     the full stat row with sane values (positive event counts and
-    throughput, p95 ≥ p50); every ``*-reference`` twin has a live
+    throughput, max ≥ median); every ``*-reference`` twin has a live
     counterpart that ran the same event count; every published speedup
     recomputes from its benchmark pair (within rounding); and any
     ``require``d benchmark names are present — CI passes the cases its
@@ -655,8 +655,8 @@ def check_bench(path: str, require: Optional[List[str]] = None) -> str:
                 )
         if stats["events"] <= 0 or stats["repeats"] < 1 or stats["events_per_sec"] <= 0:
             raise CheckFailure(f"{path}: benchmark {name!r} has non-positive counters")
-        if stats["p95_ns_per_event"] < stats["p50_ns_per_event"]:
-            raise CheckFailure(f"{path}: benchmark {name!r} has p95 < p50")
+        if stats["max_ns_per_event"] < stats["median_ns_per_event"]:
+            raise CheckFailure(f"{path}: benchmark {name!r} has max < median")
     for name, stats in benchmarks.items():
         if not name.endswith("-reference"):
             continue
