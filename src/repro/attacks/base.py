@@ -64,13 +64,17 @@ class AttackResult:
 
 def run_until_key(browser: Browser, box: dict, key: str, timeout_ms: float = 3_000) -> Any:
     """Advance the simulation until ``box[key]`` appears (or time out)."""
-    deadline = browser.sim.dispatch_time + ms(timeout_ms)
+    sim = browser.sim
+    step = sim.step
+    deadline = sim.dispatch_time + ms(timeout_ms)
+    # one event per step(): ``key in box`` is checked between every two
+    # dispatches (loopscan's measurement lands mid-storm)
     while key not in box:
-        if browser.sim.dispatch_time >= deadline:
+        if sim.dispatch_time >= deadline:
             raise MeasurementTimeout(
                 f"no {key!r} within {timeout_ms} ms of virtual time"
             )
-        if not browser.sim.step():
+        if not step():
             if key in box:
                 break
             raise MeasurementTimeout(f"simulation drained without {key!r}")

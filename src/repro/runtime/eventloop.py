@@ -105,19 +105,28 @@ class EventLoop:
         """Enqueue a macrotask; it runs no earlier than ``task.ready_time``."""
         if self.stopped:
             return task  # terminated workers silently drop new work
-        task.enqueue_time = self.sim.now
-        perturber = self.sim.perturber
+        sim = self.sim
+        # sim.now and sim.dispatch_time, read directly: every message
+        # and timer passes through here
+        dispatch = sim._time
+        frames = sim._frames
+        if frames:
+            frame = frames[-1]
+            task.enqueue_time = frame.start + frame.elapsed
+        else:
+            task.enqueue_time = dispatch
+        perturber = sim.perturber
         if perturber is not None:
             # schedule-space exploration hook: a perturbation may delay a
             # task's ready time (never advance it), reordering it against
             # tasks from other sources — see repro.explore.perturb
             task.ready_time = max(
-                perturber.perturb(self.sim, task.ready_time, task.label or task.source.value),
+                perturber.perturb(sim, task.ready_time, task.label or task.source.value),
                 task.ready_time,
             )
         ready = task.ready_time
-        if ready < self.sim.dispatch_time:
-            ready = task.ready_time = self.sim.dispatch_time
+        if ready < dispatch:
+            ready = task.ready_time = dispatch
         fifo = self._tfifo
         if not fifo:
             fifo.append(task)
@@ -129,7 +138,9 @@ class EventLoop:
                 fifo.append(task)
             else:
                 _heappush(self._queue, (ready, task.id, task))
-        self._arm()
+        if not self._in_task:
+            # mid-task posts are armed when the running task finishes
+            self._arm()
         return task
 
     def post(
@@ -142,15 +153,14 @@ class EventLoop:
         label: str = "",
     ) -> Task:
         """Convenience wrapper building and posting a :class:`Task`."""
-        task = Task(
-            callback,
-            args,
-            source=source,
-            ready_time=self.sim.now + delay,
-            cost=cost,
-            label=label,
-        )
-        return self.post_task(task)
+        sim = self.sim
+        frames = sim._frames
+        if frames:
+            frame = frames[-1]
+            now = frame.start + frame.elapsed
+        else:
+            now = sim._time
+        return self.post_task(Task(callback, args, source, now + delay, cost, label))
 
     def post_microtask(self, micro: Microtask) -> None:
         """Enqueue a microtask.
@@ -217,39 +227,29 @@ class EventLoop:
             return heap[0][2]
         return None
 
-    def _pop_task(self, task: Task) -> None:
-        """Remove ``task`` — always the current :meth:`_peek_task` result —
-        from whichever lane holds it."""
-        fifo = self._tfifo
-        if fifo and fifo[0] is task:
-            fifo.popleft()
-        else:
-            _heappop(self._queue)
-
-    def _next_task_time(self) -> Optional[int]:
-        task = self._peek_task()
-        if task is None:
-            return None
-        ready = task.ready_time
-        busy = self.busy_until
-        if ready < busy:
-            ready = busy
-        dispatch = self.sim.dispatch_time
-        return ready if ready >= dispatch else dispatch
-
     def _arm(self) -> None:
         """(Re)schedule the simulator wakeup for the next runnable task."""
         if self.stopped or self._in_task:
             return
-        run_at = self._next_task_time()
-        if run_at is None:
+        task = self._peek_task()
+        if task is None:
             return
+        run_at = task.ready_time
+        busy = self.busy_until
+        self._schedule_wake(run_at if run_at > busy else busy)
+
+    def _schedule_wake(self, run_at: int) -> None:
+        """Have a wake scheduled no later than ``run_at`` (clamped to the
+        dispatch clock), replacing a later pending one."""
+        sim = self.sim
+        if run_at < sim._time:
+            run_at = sim._time
         wakeup = self._wakeup
         if wakeup is not None and not wakeup.cancelled:
             if wakeup.time <= run_at:
                 return
             wakeup.cancel()
-        self._wakeup = self.sim.schedule(run_at, self._wake, label=self._wake_label)
+        self._wakeup = sim.schedule(run_at, self._wake, self._wake_label)
 
     def _flush_heap_lane(self) -> None:
         """Drain a bulky heap lane into the FIFO lane in one sorted pass.
@@ -271,52 +271,37 @@ class EventLoop:
         fifo.extend(tasks)
 
     def _wake(self) -> None:
-        self._wakeup = None
-        if self.stopped:
-            return
-        if len(self._queue) > _HEAP_FLUSH_THRESHOLD:
-            self._flush_heap_lane()
-        sim = self.sim
-        task = self._peek_task()
-        if task is None:
-            return
-        run_at = task.ready_time
-        busy = self.busy_until
-        if run_at < busy:
-            run_at = busy
-        if run_at > sim._time:
-            self._arm()
-            return
-        self._pop_task(task)
-        self._run_task(task)
-        self._continue_inline()
-
-    def _continue_inline(self) -> None:
-        """Post-dispatch continuation: inline same-time follow-ups, else arm.
+        """Simulator callback: run the next runnable task, then either run
+        same-time follow-ups inline or schedule the next wake.
 
         Inline continuation: when the *next* task would be woken at
         exactly the current dispatch time and no other simulator event
         is queued at (or before) that time, nothing can interleave — the
         wake the seed would schedule is provably the very next dispatch.
         Run the task here instead, replicating the wake's bookkeeping
-        (events_processed, dispatch label/ordinal, recent labels) so
-        every downstream observable — trace ordinals included — matches
-        the schedule-a-wake path bit for bit.  Timer storms, where
-        hundreds of timers share one millisecond slot, collapse from one
-        full queue round-trip per task to one per slot.
+        (events_processed, dispatch label/ordinal, recent labels — the
+        same per-event bookkeeping as ``Simulator.step`` and
+        ``Simulator.run``'s inline loop; keep the three in sync) so every
+        downstream observable, trace ordinals included, matches the
+        schedule-a-wake path bit for bit.  Timer storms, where hundreds
+        of timers share one millisecond slot, collapse from one full
+        queue round-trip per task to one per slot.  Only ``Simulator.run``
+        allows it (``_inline_wake_ok``): under ``step()``/``run_until()``
+        the loop schedules a wake after every task.
         """
-        sim = self.sim
-        budget = _INLINE_BATCH_LIMIT
-        run = self._run_task
-        wake_label = self._wake_label
-        recent_append = sim._recent_labels.append
+        self._wakeup = None
+        if self.stopped:
+            return
         heap = self._queue
+        if len(heap) > _HEAP_FLUSH_THRESHOLD:
+            self._flush_heap_lane()
         fifo = self._tfifo
-        swheel = sim._wheel
-        swready = swheel._ready
-        sfifo = sim._fifo
+        sim = self.sim
+        run = self._run_task
         heappop = _heappop
-        while not self.stopped:
+        budget = _INLINE_BATCH_LIMIT
+        inline = False
+        while True:
             # earliest live queued task (_peek_task, inlined)
             while heap and heap[0][2].cancelled:
                 heappop(heap)
@@ -343,46 +328,56 @@ class EventLoop:
             if run_at < busy:
                 run_at = busy
             dispatch = sim._time
-            if run_at > dispatch or not sim._inline_wake_ok or budget <= 0:
-                self._arm()
+            if run_at > dispatch:
+                self._schedule_wake(run_at)
                 return
-            # no other simulator event may exist at (or before) the current
-            # time (the earliest queued time, bounded conservatively: cancelled
-            # entries count, and a wheel with an empty ready run reports
-            # its drained-region bound — every stored entry is at or past
-            # it, so a bound beyond the dispatch time proves no entry can
-            # interleave, without forcing a slot drain from here)
-            if sfifo:
-                nt = sfifo[0].time
-                if swready:
-                    wt = swready[swheel._pos].time
-                    if wt < nt:
-                        nt = wt
-                elif swheel._stored:
-                    wt = swheel._ready_until
-                    if wt < nt:
-                        nt = wt
-                if nt <= dispatch:
-                    self._arm()
+            if inline:
+                if not sim._inline_wake_ok or budget <= 0:
+                    self._schedule_wake(dispatch)
                     return
-            elif swready:
-                if swready[swheel._pos].time <= dispatch:
-                    self._arm()
+                # no other simulator event may exist at (or before) the
+                # current time (the earliest queued time, bounded
+                # conservatively: cancelled entries count, and a wheel with
+                # an empty ready run reports its drained-region bound —
+                # every stored entry is at or past it, so a bound beyond
+                # the dispatch time proves no entry can interleave, without
+                # forcing a slot drain from here)
+                sfifo = sim._fifo
+                swheel = sim._wheel
+                swready = swheel._ready
+                if sfifo:
+                    nt = sfifo[0].time
+                    if swready:
+                        wt = swready[swheel._pos].time
+                        if wt < nt:
+                            nt = wt
+                    elif swheel._stored:
+                        wt = swheel._ready_until
+                        if wt < nt:
+                            nt = wt
+                    due = nt <= dispatch
+                elif swready:
+                    due = swready[swheel._pos].time <= dispatch
+                else:
+                    due = swheel._stored and swheel._ready_until <= dispatch
+                if due:
+                    self._schedule_wake(dispatch)
                     return
-            elif swheel._stored and swheel._ready_until <= dispatch:
-                self._arm()
-                return
-            budget -= 1
-            n = sim.events_processed + 1
-            sim.events_processed = n
-            sim._dispatch_label = wake_label
-            sim._dispatch_ordinal = n
-            recent_append(wake_label)
+                budget -= 1
+                n = sim.events_processed + 1
+                sim.events_processed = n
+                wake_label = self._wake_label
+                sim._dispatch_label = wake_label
+                sim._dispatch_ordinal = n
+                sim._recent_labels.append(wake_label)
             if use_fifo:
                 fifo.popleft()
             else:
                 heappop(heap)
             run(task)
+            if self.stopped:
+                return
+            inline = True
 
     def _bind_metrics(self, tracer) -> None:
         """(Re)bind cached metric handles to ``tracer``'s registry."""
@@ -401,12 +396,15 @@ class EventLoop:
         start = dispatch_time if dispatch_time > busy else busy
         if task.ready_time > start:
             start = task.ready_time
+        cost = self.task_dispatch_cost + task.cost
+        if cost < 0:
+            raise SimulationError(f"negative cost: {cost}")
         frame = ExecutionFrame(start, self.name)
+        frame.elapsed = cost
         frames = sim._frames
         frames.append(frame)
         self._in_task = True
         try:
-            frame.consume(self.task_dispatch_cost + task.cost)
             task.callback(*task.args)
             if self._microtasks:
                 self._drain_microtasks(frame)

@@ -53,22 +53,56 @@ class MessageEvent:
         return f"<MessageEvent data={self.data!r} origin={self.origin!r}>"
 
 
+#: Stack marker in :func:`payload_size`: the id below it leaves the path.
+_LEAVE = object()
+
+
 def payload_size(data: Any) -> int:
-    """Rough structured-clone size of a payload, in abstract units."""
-    if data is None or isinstance(data, bool):
-        return 1
-    if isinstance(data, (int, float)):
-        return 8
+    """Rough structured-clone size of a payload, in abstract units.
+
+    Scalars cost 1 (``None``/bools), 8 (numbers) or their length
+    (strings); a list, tuple or dict costs 8 plus its items (a dict's
+    keys and values); an object with ``byte_length`` costs that, anything
+    else 16.  A sub-object reached twice is counted twice, but a
+    container that is already on the current path — a cycle, which
+    structured clone accepts — is charged as an 8-unit reference.  The
+    walk is iterative, so deep payloads cannot exhaust the Python stack.
+    """
     if isinstance(data, str):
-        return len(data)
-    if isinstance(data, (list, tuple)):
-        return 8 + sum(payload_size(item) for item in data)
-    if isinstance(data, dict):
-        return 8 + sum(payload_size(k) + payload_size(v) for k, v in data.items())
-    size = getattr(data, "byte_length", None)
-    if size is not None:
-        return int(size)
-    return 16
+        return len(data)  # the common message, one test
+    total = 0
+    on_path = set()  # ids of the containers being walked
+    stack = [data]
+    pop = stack.pop
+    push = stack.append
+    while stack:
+        item = pop()
+        if item is _LEAVE:
+            on_path.discard(pop())
+        elif isinstance(item, str):
+            total += len(item)
+        elif item is None or isinstance(item, bool):
+            total += 1
+        elif isinstance(item, (int, float)):
+            total += 8
+        elif isinstance(item, (list, tuple, dict)):
+            total += 8
+            key = id(item)
+            if key in on_path:
+                continue  # cycle: a reference, not another copy
+            on_path.add(key)
+            push(key)
+            push(_LEAVE)
+            if isinstance(item, dict):
+                for k, v in item.items():
+                    push(k)
+                    push(v)
+            else:
+                stack.extend(item)
+        else:
+            size = getattr(item, "byte_length", None)
+            total += 16 if size is None else int(size)
+    return total
 
 
 class MessageEndpoint:
@@ -108,7 +142,8 @@ class MessageEndpoint:
         Transferables in ``transfer`` are detached on this side before the
         message is delivered, matching structured-clone transfer semantics.
         """
-        if self.peer is None:
+        peer = self.peer
+        if peer is None:
             raise SimulationError(f"endpoint {self.name!r} is not connected")
         sim = self.loop.sim
         size = payload_size(data)
@@ -118,7 +153,7 @@ class MessageEndpoint:
         if tracer.enabled:
             if tracer.buffering:
                 flow = tracer.next_flow_id()
-                args = {"to": self.peer.name, "size": size, "flow": flow}
+                args = {"to": peer.name, "size": size, "flow": flow}
                 frame = sim.current_frame
                 if frame is not None and frame.thread_name != self.loop.name:
                     args["ctx"] = frame.thread_name
@@ -146,13 +181,10 @@ class MessageEndpoint:
                 if make_view is not None:
                     views.append(make_view())
                 detach()
-        if self.closed or self.peer.closed:
+        if self.closed or peer.closed:
             return  # messages to closed endpoints vanish
-        event = MessageEvent(
-            data, origin=origin, source=self, timestamp=sim.now, transferred=views
-        )
+        event = MessageEvent(data, origin, self, sim.now, views)
         event.trace_flow = flow
-        peer = self.peer
         peer.loop.post(
             peer.deliver,
             event,

@@ -14,12 +14,17 @@ from typing import Optional
 class Origin:
     """An origin: scheme://host:port."""
 
-    __slots__ = ("scheme", "host", "port")
+    __slots__ = ("scheme", "host", "port", "_serialized")
 
     def __init__(self, scheme: str, host: str, port: Optional[int] = None):
         self.scheme = scheme
         self.host = host
         self.port = port if port is not None else default_port(scheme)
+        # origins are immutable; every window.postMessage serialises one
+        if self.port == default_port(scheme):
+            self._serialized = f"{scheme}://{host}"
+        else:
+            self._serialized = f"{scheme}://{host}:{self.port}"
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -37,9 +42,7 @@ class Origin:
 
     def serialize(self) -> str:
         """Serialise as ``scheme://host[:port]`` (default ports omitted)."""
-        if self.port == default_port(self.scheme):
-            return f"{self.scheme}://{self.host}"
-        return f"{self.scheme}://{self.host}:{self.port}"
+        return self._serialized
 
 
 def default_port(scheme: str) -> int:

@@ -13,7 +13,7 @@ occupies its thread for 3 ms of virtual time, during which
 ``performance.now()`` advances and cross-thread messages pile up unprocessed.
 We model this with :class:`ExecutionFrame`: while a task's Python callable is
 running, the frame accumulates ``elapsed`` cost (every simulated operation
-calls :meth:`ExecutionFrame.consume`), and :attr:`Simulator.now` reports the
+calls :meth:`Simulator.consume`), and :attr:`Simulator.now` reports the
 *local* time ``start + elapsed``.  When the callable returns, the owning
 event loop marks its thread busy until that local time, so subsequent tasks
 queue behind it exactly as in a real event loop.
@@ -237,8 +237,10 @@ class Simulator:
         Inside a running task this is the task-local time (start + consumed
         cost); between tasks it is the time of the event being dispatched.
         """
-        if self._frames:
-            return self._frames[-1].local_now
+        frames = self._frames
+        if frames:
+            frame = frames[-1]
+            return frame.start + frame.elapsed
         return self._time
 
     @property
@@ -265,9 +267,16 @@ class Simulator:
         return self._frames[-1] if self._frames else None
 
     def consume(self, cost_ns: int) -> None:
-        """Account synchronous cost to the current frame (no-op outside)."""
-        if self._frames:
-            self._frames[-1].consume(cost_ns)
+        """Account synchronous cost to the current frame (no-op outside).
+
+        :meth:`ExecutionFrame.consume`, inlined: a ``postMessage`` round
+        trip charges cost here three times.
+        """
+        frames = self._frames
+        if frames:
+            if cost_ns < 0:
+                raise SimulationError(f"negative cost: {cost_ns}")
+            frames[-1].elapsed += cost_ns
 
     @property
     def native_context(self) -> str:
@@ -354,8 +363,16 @@ class Simulator:
         """Pop the earliest live call across both lanes (``None`` if drained)."""
         fifo = self._fifo
         wheel = self._wheel
+        wready = wheel._ready
         while True:
-            head = wheel.peek()
+            # wheel head: the ready-run front, priming (a peek() call) only
+            # when the run is empty but entries are stored
+            if wready:
+                head = wready[wheel._pos]
+            elif wheel._stored:
+                head = wheel.peek()
+            else:
+                head = None
             if fifo:
                 call = fifo[0]
                 if head is not None and (
@@ -372,8 +389,20 @@ class Simulator:
             if not call.cancelled:
                 return call
 
-    def _dispatch(self, call: ScheduledCall) -> None:
-        """Shared (slow-path) dispatch used by :meth:`step` / :meth:`run_until`."""
+    def step(self) -> bool:
+        """Dispatch the single earliest pending event.
+
+        Returns ``False`` when no events remain.  This is the one
+        single-event dispatch body: :meth:`run_until` drives it once per
+        event.  The per-event bookkeeping below (dispatch clock, live
+        count, ``events_processed``, dispatch label and ordinal, recent
+        labels, perturber hook) has exactly two other copies, kept in
+        sync with it: :meth:`run`'s inline loop and the inline
+        same-time continuation in ``EventLoop._wake``.
+        """
+        call = self._pop_next()
+        if call is None:
+            return False
         self._time = call.time
         self._live -= 1
         call.sim = None
@@ -385,20 +414,12 @@ class Simulator:
         self._recent_labels.append(label)
         if self.perturber is not None:
             self.perturber.on_dispatch(label)
-        call.fn()
-
-    def step(self) -> bool:
-        """Dispatch the single earliest pending event.
-
-        Returns ``False`` when no events remain.
-        """
-        call = self._pop_next()
-        if call is None:
-            return False
+        # single-step granularity is observable: no inline wake batching
+        # inside this event, even when step() is nested in run()
         prev_inline = self._inline_wake_ok
-        self._inline_wake_ok = False  # single-step granularity is observable
+        self._inline_wake_ok = False
         try:
-            self._dispatch(call)
+            call.fn()
         finally:
             self._inline_wake_ok = prev_inline
         return True
@@ -487,6 +508,7 @@ class Simulator:
                     call = self._pop_next()
                     if call is None:
                         return
+                # per-event bookkeeping: keep in sync with step()
                 self._time = call.time
                 self._live -= 1
                 call.sim = None
@@ -516,33 +538,25 @@ class Simulator:
 
         Raises :class:`DeadlockError` if the event queue drains first: the
         awaited completion can then never occur.  ``max_events`` defaults
-        like :meth:`run`.
+        like :meth:`run`.  Events dispatch one at a time through
+        :meth:`step`, so the predicate is checked between every two
+        events and inline wake batching stays off (it may become true
+        between two same-time dispatches).
         """
         limit = default_max_events() if max_events is None else max_events
-        pop_next = self._pop_next
-        dispatch = self._dispatch
+        step = self.step
         processed = 0
-        # Inline wake batching stays off here: the predicate is checked
-        # between events, so per-event granularity is observable (it may
-        # become true between two same-time dispatches).
-        prev_inline = self._inline_wake_ok
-        self._inline_wake_ok = False
-        try:
-            while not predicate():
-                call = pop_next()
-                if call is None:
-                    raise DeadlockError(
-                        "event queue drained before the awaited condition became true"
-                    )
-                dispatch(call)
-                processed += 1
-                if processed > limit:
-                    raise SimulationError(
-                        f"run_until exceeded {limit} events (runaway loop?); "
-                        f"last dispatched: {self.recent_dispatch_context()}"
-                    )
-        finally:
-            self._inline_wake_ok = prev_inline
+        while not predicate():
+            if not step():
+                raise DeadlockError(
+                    "event queue drained before the awaited condition became true"
+                )
+            processed += 1
+            if processed > limit:
+                raise SimulationError(
+                    f"run_until exceeded {limit} events (runaway loop?); "
+                    f"last dispatched: {self.recent_dispatch_context()}"
+                )
 
     @property
     def pending_events(self) -> int:

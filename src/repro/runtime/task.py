@@ -30,6 +30,12 @@ class TaskSource(enum.Enum):
     PAUSE = "pause"  # Fuzzyfox's injected pause tasks
     KERNEL = "kernel"  # JSKernel dispatcher bookkeeping
 
+    # Enum.__hash__ is a Python-level function (hash of the member name);
+    # members are singletons compared by identity, so identity hashing is
+    # equivalent and runs in C.  Event loops key their per-source task
+    # counters on the source once per dispatched task.
+    __hash__ = object.__hash__
+
 
 _task_ids = itertools.count(1)
 

@@ -97,8 +97,14 @@ class Histogram:
         self.counts[bisect_left(self.bounds, value)] += 1
         self.total += value
         self.count += 1
-        self.min = value if self.min is None else min(self.min, value)
-        self.max = value if self.max is None else max(self.max, value)
+        # min()/max() spelled as comparisons: same result, two builtin
+        # calls fewer on a path taken once per dispatched task
+        low = self.min
+        if low is None or value < low:
+            self.min = value
+        high = self.max
+        if high is None or value > high:
+            self.max = value
         if self.sketch is not None:
             self.sketch.add(value)
 

@@ -204,3 +204,84 @@ def test_dispatch_order_is_sorted(times):
         sim.schedule(t, lambda t=t: seen.append(t))
     sim.run()
     assert seen == sorted(times)
+
+
+# ----------------------------------------------------------------------
+# step(), run_until() and run() share one per-event bookkeeping
+# ----------------------------------------------------------------------
+def _mixed_scenario(plan):
+    """Timers scheduled out of order (wheel entries), some cancelled, each
+    posting a task that fans out into zero-cost same-time follow-ups
+    (which run() may dispatch inline) and one delayed task."""
+    from repro.runtime.eventloop import EventLoop
+
+    sim = Simulator()
+    loop = EventLoop(sim, "main", task_dispatch_cost=0, record_trace=True)
+    log = []
+
+    def note(tag):
+        log.append((tag, sim._dispatch_label, sim._dispatch_ordinal, sim.events_processed, sim.now))
+
+    def task(i, followups):
+        note(f"task{i}")
+        for j in range(followups):
+            loop.post(note, f"follow{i}.{j}", label=f"follow{i}")
+        loop.post(note, f"late{i}", delay=1_500, cost=300, label=f"late{i}")
+
+    for i, (at, followups, cancel) in enumerate(plan):
+        call = sim.schedule(
+            at, lambda i=i, f=followups: loop.post(task, i, f, label=f"t{i}"), f"timer{i}"
+        )
+        if cancel:
+            call.cancel()
+    return sim, loop, log
+
+
+def _drive(plan, how):
+    sim, loop, log = _mixed_scenario(plan)
+    if how == "step":
+        while sim.step():
+            pass
+    elif how == "run_until":
+        sim.run_until(lambda: sim.pending_events == 0)
+    else:
+        sim.run()
+    return {
+        "events_processed": sim.events_processed,
+        "dispatch": (sim._dispatch_label, sim._dispatch_ordinal),
+        "recent_labels": list(sim._recent_labels),
+        "records": [(r.label, r.source, r.start, r.end) for r in loop.trace],
+        "log": log,
+    }
+
+
+_plans = st.lists(
+    st.tuples(
+        st.sampled_from([0, 1_000, 1_000, 2_500, 40_000, 3_000_000, 700_000_000]),
+        st.integers(min_value=0, max_value=4),
+        st.booleans(),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+@given(_plans)
+def test_step_run_until_and_run_share_per_event_bookkeeping(plan):
+    expected = _drive(plan, "step")
+    assert _drive(plan, "run_until") == expected
+    assert _drive(plan, "run") == expected
+
+
+def test_mixed_scenario_exercises_inline_batching_and_the_wheel():
+    plan = [(3_000_000, 3, False), (1_000, 4, False), (1_000, 0, True), (2_500, 2, False)]
+    ran, _loop, _log = _mixed_scenario(plan)
+    assert ran._wheel._stored  # out-of-order timers sit on the wheel
+    ran.run()
+    stepped, _loop, _log = _mixed_scenario(plan)
+    while stepped.step():
+        pass
+    # run() dispatched same-time follow-ups inline (fewer wakes were
+    # scheduled), yet counted every one
+    assert ran._seq < stepped._seq
+    assert ran.events_processed == stepped.events_processed == 3 + 3 * 2 + (3 + 4 + 2)
